@@ -3,6 +3,7 @@
 #include "analysis/Analysis.h"
 #include "core/LuaStdlib.h"
 #include "core/Parser.h"
+#include "support/Subprocess.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
@@ -10,7 +11,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <unistd.h>
 
 using namespace terracpp;
 using namespace terracpp::lua;
@@ -19,27 +19,7 @@ using namespace terracpp::lua;
 /// happens once per process, and the answer feeds only the *default*
 /// backend choice (TERRACPP_BACKEND overrides it either way).
 static bool ccOnPath() {
-  static const bool Found = [] {
-    const char *Path = getenv("PATH");
-    if (!Path || !*Path)
-      return false;
-    std::string P(Path);
-    size_t I = 0;
-    while (I <= P.size()) {
-      size_t Next = P.find(':', I);
-      std::string Dir =
-          P.substr(I, Next == std::string::npos ? P.size() - I : Next - I);
-      if (Dir.empty())
-        Dir = ".";
-      std::string Cand = Dir + "/cc";
-      if (::access(Cand.c_str(), X_OK) == 0)
-        return true;
-      if (Next == std::string::npos)
-        break;
-      I = Next + 1;
-    }
-    return false;
-  }();
+  static const bool Found = !findOnPath("cc").empty();
   return Found;
 }
 

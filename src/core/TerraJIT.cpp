@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <dirent.h>
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -20,6 +21,7 @@
 #include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
+#include <unordered_map>
 
 using namespace terracpp;
 
@@ -94,13 +96,10 @@ static std::string resolveCacheDir() {
 }
 
 static uint64_t resolveCacheMaxBytes() {
-  const char *Env = getenv("TERRACPP_CACHE_MAX_MB");
-  if (!Env)
-    return 0;
-  char *End = nullptr;
-  double MB = strtod(Env, &End);
-  if (!End || End == Env || MB <= 0)
-    return 0;
+  // Fractional megabytes are allowed; the 1 EiB ceiling keeps the byte count
+  // inside uint64_t. Unset or malformed leaves the cache unbounded (0).
+  constexpr double MaxMB = static_cast<double>(1ull << 40);
+  double MB = envcfg::parsePositiveReal("TERRACPP_CACHE_MAX_MB", 0, MaxMB);
   return static_cast<uint64_t>(MB * 1024.0 * 1024.0);
 }
 
@@ -110,6 +109,45 @@ static unsigned resolveCompileJobs() {
   return static_cast<unsigned>(
       envcfg::parseUInt("TERRACPP_COMPILE_JOBS", Default, 1, 256));
 }
+
+static uint64_t nanos(const struct timespec &T) {
+  return static_cast<uint64_t>(T.tv_sec) * 1000000000u +
+         static_cast<uint64_t>(T.tv_nsec);
+}
+
+//===----------------------------------------------------------------------===//
+// Compiler identity memo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// First lines of `cc --version` already probed by this process. Keyed by
+/// the compiler file posix_spawnp would run and that file's stat, symlinks
+/// followed: a changed PATH, a replaced binary or a re-pointed
+/// /etc/alternatives link makes a new key and a fresh probe.
+struct IdentityMemo {
+  std::mutex M;
+  std::unordered_map<std::string, std::string> ByKey;
+};
+
+IdentityMemo &identityMemo() {
+  static IdentityMemo Memo;
+  return Memo;
+}
+
+/// The memo key of the `cc` on the current PATH; empty when there is none.
+std::string ccIdentityKey() {
+  std::string Path = findOnPath("cc");
+  struct stat St;
+  if (Path.empty() || ::stat(Path.c_str(), &St) != 0)
+    return "";
+  // The numeric fields contain no ':', so the path can come last verbatim.
+  return std::to_string(St.st_dev) + ":" + std::to_string(St.st_ino) + ":" +
+         std::to_string(St.st_size) + ":" + std::to_string(nanos(St.st_mtim)) +
+         ":" + std::to_string(nanos(St.st_ctim)) + ":" + Path;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // JITEngine
@@ -124,12 +162,8 @@ JITEngine::JITEngine(DiagnosticEngine &Diags)
       MCacheEvicted(Reg.counter("jit.cache.evicted")),
       MQueueDepthHwm(Reg.gauge("jit.queue_depth_hwm")),
       MCcUs(Reg.histogram("jit.cc_us")), MLinkUs(Reg.histogram("jit.link_us")),
-      MBatchWallUs(Reg.histogram("jit.batch_wall_us")) {
-  // A per-engine scratch directory keeps concurrent engines (even in one
-  // process) from clobbering each other's generated files.
-  char Template[] = "/tmp/terracpp-XXXXXX";
-  const char *Dir = mkdtemp(Template);
-  TempDir = Dir ? Dir : "/tmp";
+      MBatchWallUs(Reg.histogram("jit.batch_wall_us")),
+      MCcIdentityUs(Reg.histogram("jit.cc_identity_us")) {
   Jobs = resolveCompileJobs();
   CacheDir = resolveCacheDir();
   CacheMaxBytes = resolveCacheMaxBytes();
@@ -141,8 +175,20 @@ JITEngine::~JITEngine() {
   for (void *H : Handles)
     dlclose(H);
   Pool.reset(); // Join workers before deleting their scratch space.
-  if (TempDir.rfind("/tmp/terracpp-", 0) == 0)
+  if (TempDir.rfind("/tmp/terracpp-", 0) == 0) // Empty if never created.
     removeTree(TempDir);
+}
+
+const std::string &JITEngine::scratchDir() {
+  // A per-engine scratch directory keeps concurrent engines (even in one
+  // process) from clobbering each other's generated files. It is made on
+  // first use, so engines served entirely from the cache never touch /tmp.
+  std::call_once(TempDirOnce, [this] {
+    char Template[] = "/tmp/terracpp-XXXXXX";
+    const char *Dir = mkdtemp(Template);
+    TempDir = Dir ? Dir : "/tmp";
+  });
+  return TempDir;
 }
 
 void JITEngine::noteDiag(DiagKind Kind, const std::string &Message) {
@@ -159,14 +205,37 @@ void JITEngine::noteDiag(DiagKind Kind, const std::string &Message) {
 
 const std::string &JITEngine::compilerIdentity() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (CompilerId.empty()) {
-    SpawnResult R = runCommand({"cc", "--version"}, TempDir);
-    std::string FirstLine = R.ok() ? R.Stdout : "unknown-cc";
-    size_t NL = FirstLine.find('\n');
-    if (NL != std::string::npos)
-      FirstLine.resize(NL);
-    CompilerId = FirstLine.empty() ? "unknown-cc" : FirstLine;
+  if (!CompilerId.empty())
+    return CompilerId;
+  // Re-resolved per engine (PATH may have changed since the last one), but
+  // probed at most once per process per compiler file. Concurrent engines
+  // wait on the memo lock for the one probe instead of each spawning cc.
+  // A file replaced mid-probe is harmless: its new stat is a new key.
+  std::string Key = ccIdentityKey();
+  IdentityMemo &Memo = identityMemo();
+  std::lock_guard<std::mutex> MemoLock(Memo.M);
+  auto It = Memo.ByKey.find(Key); // The empty key is never stored.
+  if (It != Memo.ByKey.end()) {
+    CompilerId = It->second;
+    return CompilerId;
   }
+
+  SpawnResult R;
+  {
+    telemetry::ScopedTimerUs ProbeT(MCcIdentityUs);
+    R = runCommand({"cc", "--version"}, scratchDir());
+  }
+  std::string FirstLine = R.ok() ? R.Stdout : "";
+  size_t NL = FirstLine.find('\n');
+  if (NL != std::string::npos)
+    FirstLine.resize(NL);
+  if (FirstLine.empty()) {
+    CompilerId = "unknown-cc"; // Not memoized: the next engine probes again.
+    return CompilerId;
+  }
+  CompilerId = FirstLine;
+  if (!Key.empty())
+    Memo.ByKey.emplace(Key, FirstLine);
   return CompilerId;
 }
 
@@ -197,7 +266,7 @@ bool JITEngine::runCompiler(const std::string &SrcPath,
   Span.arg("out", OutPath);
   MCompilerLaunches.inc();
   Timer T;
-  SpawnResult R = runCommand(Argv, TempDir);
+  SpawnResult R = runCommand(Argv, scratchDir());
   Seconds = T.seconds();
   MCcUs.record(static_cast<uint64_t>(Seconds * 1e6));
   if (R.spawnFailed()) {
@@ -230,8 +299,14 @@ JITEngine::compileSource(const std::string &CSource, bool Cacheable,
     CachePath = CacheDir + "/" + cacheKey(CSource, ExtraFlags) + ".so";
     if (!SkipCacheLookup && ::access(CachePath.c_str(), R_OK) == 0) {
       // Refresh the entry's mtime so the size bound evicts by actual
-      // recency of use, not by age of first compile.
-      ::utimensat(AT_FDCWD, CachePath.c_str(), nullptr, 0);
+      // recency of use, not by age of first compile. Stamp the precise
+      // time: the kernel's own "now" is a coarse clock that ticks every
+      // few ms, so a hit right after another entry's publish would tie
+      // with it.
+      struct timespec Now[2];
+      clock_gettime(CLOCK_REALTIME, &Now[0]);
+      Now[1] = Now[0];
+      ::utimensat(AT_FDCWD, CachePath.c_str(), Now, 0);
       Out.OK = true;
       Out.FromCache = true;
       Out.SoPath = CachePath;
@@ -243,7 +318,7 @@ JITEngine::compileSource(const std::string &CSource, bool Cacheable,
   }
 
   unsigned Id = ModuleCounter++;
-  std::string Base = TempDir + "/mod" + std::to_string(Id);
+  std::string Base = scratchDir() + "/mod" + std::to_string(Id);
   std::string SrcPath = Base + ".c";
   std::string SoPath = Base + ".so";
   if (!writeFile(SrcPath, CSource)) {
@@ -305,10 +380,8 @@ void JITEngine::enforceCacheLimit(const std::string &Protect) {
     if (::stat(Path.c_str(), &St) != 0 || !S_ISREG(St.st_mode))
       continue;
     Total += static_cast<uint64_t>(St.st_size);
-    uint64_t MtimeNs = static_cast<uint64_t>(St.st_mtim.tv_sec) * 1000000000u +
-                       static_cast<uint64_t>(St.st_mtim.tv_nsec);
     Entries.push_back(
-        {std::move(Path), static_cast<uint64_t>(St.st_size), MtimeNs});
+        {std::move(Path), static_cast<uint64_t>(St.st_size), nanos(St.st_mtim)});
   }
   ::closedir(D);
   if (Total <= CacheMaxBytes)
@@ -545,7 +618,7 @@ bool JITEngine::saveObject(const std::string &Path,
     return true;
   }
   std::string SrcPath =
-      TempDir + "/save" + std::to_string(ModuleCounter++) + ".c";
+      scratchDir() + "/save" + std::to_string(ModuleCounter++) + ".c";
   if (!writeFile(SrcPath, CSource)) {
     noteDiag(DiagKind::Error, "cannot write generated source " + SrcPath);
     return false;

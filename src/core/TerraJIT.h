@@ -13,6 +13,9 @@
 //    keyed by hash(C source + flags + compiler identity). An identical
 //    specialization — same process or a later run — dlopens the cached .so
 //    with zero compiler invocations. Set TERRACPP_CACHE=off to disable.
+//    The compiler identity (`cc --version`) is probed once per process per
+//    compiler file, and the scratch directory is created only when cc runs,
+//    so a cache hit spawns no process and creates no file.
 //
 //  * Parallel batch compilation: addModules() fans each module's cc
 //    invocation out to a worker pool (TERRACPP_COMPILE_JOBS concurrent
@@ -113,8 +116,8 @@ public:
 
   /// The engine's private metrics registry. Per-instance (not global) so
   /// concurrent engines in one process keep independent counts; includes
-  /// latency histograms (jit.cc_us, jit.link_us, jit.batch_wall_us) beyond
-  /// what the Stats snapshot exposes.
+  /// latency histograms (jit.cc_us, jit.link_us, jit.batch_wall_us,
+  /// jit.cc_identity_us) beyond what the Stats snapshot exposes.
   telemetry::Registry &metrics() { return Reg; }
   const telemetry::Registry &metrics() const { return Reg; }
 
@@ -140,6 +143,11 @@ public:
   /// Resolved TERRACPP_CACHE_MAX_MB in bytes; 0 = unbounded.
   uint64_t cacheMaxBytes() const { return CacheMaxBytes; }
 
+  /// The engine's scratch directory, or empty while it has not been
+  /// created (nothing was compiled). Tests use this to check the directory
+  /// is made only when cc runs and removed with the engine.
+  const std::string &scratchDirForTest() const { return TempDir; }
+
 private:
   /// Result of producing one shared object, off or on the pool.
   struct CompileOutcome {
@@ -163,11 +171,14 @@ private:
   /// just-published entry, never evicted.
   void enforceCacheLimit(const std::string &Protect);
   const std::string &compilerIdentity();
+  /// Creates the scratch directory on first call; returns its path.
+  const std::string &scratchDir();
   ThreadPool &pool();
   void noteDiag(DiagKind Kind, const std::string &Message);
 
   DiagnosticEngine &Diags;
-  std::string TempDir;
+  std::string TempDir; ///< Empty until scratchDir() creates it.
+  std::once_flag TempDirOnce;
   std::string OptFlags = "-O3 -march=native -fno-math-errno "
                          "-fno-semantic-interposition";
   std::string CacheDir;  ///< Empty => caching disabled.
@@ -175,7 +186,8 @@ private:
   unsigned Jobs = 1;
   std::vector<void *> Handles;
   std::string LastSource;
-  std::string CompilerId; ///< `cc --version` first line; lazily filled.
+  std::string CompilerId; ///< `cc --version` first line; lazily filled
+                          ///< from the process-wide identity memo.
 
   std::unique_ptr<ThreadPool> Pool; ///< Lazily created on first batch.
   std::atomic<unsigned> ModuleCounter{0};
@@ -197,6 +209,7 @@ private:
   telemetry::Histogram &MCcUs;
   telemetry::Histogram &MLinkUs;
   telemetry::Histogram &MBatchWallUs;
+  telemetry::Histogram &MCcIdentityUs; ///< `cc --version` probes (memo misses).
 };
 
 } // namespace terracpp

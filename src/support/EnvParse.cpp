@@ -58,6 +58,31 @@ uint64_t envcfg::parseUInt(const char *Name, uint64_t Default, uint64_t Min,
   return V;
 }
 
+double envcfg::parsePositiveReal(const char *Name, double Default,
+                                 double Max) {
+  const char *E = std::getenv(Name);
+  if (!E || !*E)
+    return Default;
+  // As in parseUInt: no leading whitespace or sign, and strtod's "inf"/"nan"
+  // spellings start with a letter, so they are rejected here too.
+  if (!std::isdigit(static_cast<unsigned char>(*E)) && *E != '.') {
+    warnOnce(Name, E, "not a decimal number; using default");
+    return Default;
+  }
+  errno = 0;
+  char *End = nullptr;
+  double V = std::strtod(E, &End);
+  if (*End != '\0') {
+    warnOnce(Name, E, "trailing garbage; using default");
+    return Default;
+  }
+  if (errno == ERANGE || !(V > 0) || V > Max) {
+    warnOnce(Name, E, "out of range; using default");
+    return Default;
+  }
+  return V;
+}
+
 bool envcfg::parseBool(const char *Name, bool Default) {
   const char *E = std::getenv(Name);
   if (!E || !*E)

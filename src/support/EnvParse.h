@@ -23,6 +23,11 @@ namespace envcfg {
 uint64_t parseUInt(const char *Name, uint64_t Default, uint64_t Min = 0,
                    uint64_t Max = UINT64_MAX);
 
+/// Reads a positive real knob ("0.5", "2", "1e3"). Unset returns \p Default.
+/// A value that is not a clean finite decimal number, is not greater than
+/// zero, or exceeds \p Max returns \p Default and warns once per variable.
+double parsePositiveReal(const char *Name, double Default, double Max);
+
 /// Reads a boolean knob: "1"/"true"/"on"/"yes" are true, "0"/"false"/"off"/
 /// "no" are false (case-insensitive). Unset returns \p Default; anything
 /// else returns \p Default with a one-time warning.

@@ -3,17 +3,42 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <fstream>
 #include <spawn.h>
 #include <sstream>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 extern char **environ;
 
 using namespace terracpp;
+
+std::string terracpp::findOnPath(const std::string &Name) {
+  const char *Path = getenv("PATH");
+  if (!Path || !*Path)
+    return "";
+  std::string P(Path);
+  size_t I = 0;
+  while (I <= P.size()) {
+    size_t Next = P.find(':', I);
+    size_t Len = (Next == std::string::npos ? P.size() : Next) - I;
+    std::string Cand = Len ? P.substr(I, Len) : std::string(".");
+    Cand += '/';
+    Cand += Name;
+    struct stat St;
+    if (::stat(Cand.c_str(), &St) == 0 && S_ISREG(St.st_mode) &&
+        ::access(Cand.c_str(), X_OK) == 0)
+      return Cand;
+    if (Next == std::string::npos)
+      break;
+    I = Next + 1;
+  }
+  return "";
+}
 
 std::vector<std::string> terracpp::splitCommandFlags(const std::string &Flags) {
   std::vector<std::string> Out;

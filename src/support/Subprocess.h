@@ -44,6 +44,12 @@ struct SpawnResult {
 SpawnResult runCommand(const std::vector<std::string> &Argv,
                        const std::string &CaptureDir);
 
+/// The first executable regular file named \p Name in the directories of
+/// the current PATH — the file runCommand's posix_spawnp would start. An
+/// empty PATH entry means the working directory. Empty when PATH is unset
+/// or no directory holds one.
+std::string findOnPath(const std::string &Name);
+
 /// Splits a flag string on whitespace ("-O3 -march=native" -> 2 args).
 std::vector<std::string> splitCommandFlags(const std::string &Flags);
 

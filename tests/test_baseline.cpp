@@ -462,6 +462,22 @@ TEST(EnvParse, UIntEnforcesRange) {
   EXPECT_EQ(envcfg::parseUInt("TERRACPP_TEST_RANGE3", 4, 1, 256), 256u);
 }
 
+TEST(EnvParse, PositiveRealAcceptsFractionsRejectsGarbage) {
+  ScopedEnv V("TERRACPP_TEST_REAL", "0.001");
+  EXPECT_DOUBLE_EQ(envcfg::parsePositiveReal("TERRACPP_TEST_REAL", 5, 100),
+                   0.001);
+  ScopedEnv V2("TERRACPP_TEST_REAL2", "2.5e1");
+  EXPECT_DOUBLE_EQ(envcfg::parsePositiveReal("TERRACPP_TEST_REAL2", 5, 100),
+                   25.0);
+  for (const char *Bad : {"abc", ".", "-1", "0", "1.5MB", "inf", " 1",
+                          "1e400", "500"}) {
+    ScopedEnv V3("TERRACPP_TEST_REAL3", Bad);
+    EXPECT_DOUBLE_EQ(envcfg::parsePositiveReal("TERRACPP_TEST_REAL3", 5, 100),
+                     5.0)
+        << Bad;
+  }
+}
+
 TEST(EnvParse, BoolAcceptsCommonSpellingsRejectsGarbage) {
   ScopedEnv V("TERRACPP_TEST_BOOL", "on");
   EXPECT_TRUE(envcfg::parseBool("TERRACPP_TEST_BOOL", false));

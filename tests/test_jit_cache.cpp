@@ -11,13 +11,17 @@
 //   * the batch compileAll API;
 //   * the TERRACPP_CACHE_MAX_MB size bound — LRU eviction by mtime, with
 //     hits refreshing recency — and cross-process cache sharing (two
-//     processes, one TERRACPP_CACHE_DIR, no corruption or double-publish).
+//     processes, one TERRACPP_CACHE_DIR, no corruption or double-publish);
+//   * the spawn-free warm path — `cc --version` is probed once per process
+//     per compiler file (a fake `cc` script on a private PATH counts the
+//     probes), and the scratch directory exists only once cc has run.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ScopedEnv.h"
 #include "core/Engine.h"
 #include "core/TerraJIT.h"
+#include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
@@ -30,6 +34,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace terracpp;
@@ -86,6 +91,58 @@ private:
   std::string Dir;
   std::string Saved;
   bool HadOld = false;
+};
+
+/// A `cc` shell script in a private directory. `--version` appends one line
+/// to a log, so tests can count identity probes, then prints the given
+/// version line (or the real compiler's, when it is empty); every other
+/// invocation execs the real cc found on PATH at construction.
+class FakeCc {
+public:
+  explicit FakeCc(const std::string &Version) : RealCc(findOnPath("cc")) {
+    char Template[] = "/tmp/terracpp-fakecc-XXXXXX";
+    Dir = mkdtemp(Template);
+    write(Version);
+  }
+  ~FakeCc() {
+    ::unlink((Dir + "/cc").c_str());
+    ::unlink(log().c_str());
+    ::rmdir(Dir.c_str());
+  }
+
+  /// Rewrites the script in place: a new size and mtime, same path.
+  void write(const std::string &Version) {
+    std::string Script = "#!/bin/sh\n"
+                         "if [ \"$1\" = --version ]; then\n"
+                         "  echo probe >> '" + log() + "'\n";
+    Script += Version.empty() ? "  exec '" + RealCc + "' --version\n"
+                              : "  echo '" + Version + "'\n  exit 0\n";
+    Script += "fi\nexec '" + RealCc + "' \"$@\"\n";
+    std::string Path = Dir + "/cc";
+    {
+      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+      Out << Script;
+    }
+    ::chmod(Path.c_str(), 0755);
+  }
+
+  /// PATH with this directory in front of the current one.
+  std::string path() const { return Dir + ":" + getenv("PATH"); }
+
+  /// Number of `cc --version` runs so far.
+  unsigned probes() const {
+    std::ifstream In(log());
+    unsigned N = 0;
+    for (std::string Line; std::getline(In, Line);)
+      ++N;
+    return N;
+  }
+
+private:
+  std::string log() const { return Dir + "/probes.log"; }
+
+  std::string RealCc;
+  std::string Dir;
 };
 
 const char *ProbeSource = "int terracpp_cache_probe(void) { return 42; }\n";
@@ -448,6 +505,209 @@ TEST(JITCache, CompileAllSharedCalleeAcrossRoots) {
   ASSERT_TRUE(A && B);
   EXPECT_EQ(A(5), 16);
   EXPECT_EQ(B(5), 17);
+}
+
+//===----------------------------------------------------------------------===//
+// Spawn-free warm path: identity memo and lazy scratch directory
+//===----------------------------------------------------------------------===//
+
+/// Probes this engine ran itself (memo misses), from its registry.
+uint64_t identityProbes(JITEngine &J) {
+  return J.metrics().histogram("jit.cc_identity_us").snapshot().Count;
+}
+
+std::string uniqueSource(const std::string &Tag, int I) {
+  return "int terracpp_" + Tag + "_" + std::to_string(I) + "(void) { return " +
+         std::to_string(I) + "; }\n";
+}
+
+TEST(JITCache, IdentityProbedOncePerCompilerFile) {
+  REQUIRE_CC();
+  ScopedCacheDir Cache;
+  FakeCc Fake("fake-cc 1.0");
+  ScopedEnv Path("PATH", Fake.path());
+  for (int I = 0; I != 4; ++I) {
+    DiagnosticEngine D;
+    JITEngine J(D);
+    ASSERT_TRUE(J.addModule(uniqueSource("seq", I), {})) << D.renderAll();
+    EXPECT_EQ(J.stats().CompilerLaunches, 1u);
+    EXPECT_EQ(identityProbes(J), I == 0 ? 1u : 0u);
+  }
+  EXPECT_EQ(Fake.probes(), 1u);
+}
+
+TEST(JITCache, RewrittenCompilerIsReprobedAndMisses) {
+  REQUIRE_CC();
+  ScopedCacheDir Cache;
+  FakeCc Fake("fake-cc 1.0");
+  ScopedEnv Path("PATH", Fake.path());
+  {
+    DiagnosticEngine D;
+    JITEngine J(D);
+    ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+  }
+  ASSERT_EQ(Fake.probes(), 1u);
+
+  // A rebuilt compiler at the same path must not be served the old
+  // identity: it is probed again, and its different --version misses.
+  Fake.write("fake-cc 2.0 (rebuilt)");
+  {
+    DiagnosticEngine D;
+    JITEngine J(D);
+    ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+    EXPECT_EQ(J.stats().CacheHits, 0u);
+    EXPECT_EQ(J.stats().CacheMisses, 1u);
+  }
+  EXPECT_EQ(Fake.probes(), 2u);
+
+  // The new identity is memoized in turn.
+  DiagnosticEngine D;
+  JITEngine J(D);
+  ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+  EXPECT_EQ(J.stats().CacheHits, 1u);
+  EXPECT_EQ(Fake.probes(), 2u);
+}
+
+TEST(JITCache, PathSwitchReprobes) {
+  REQUIRE_CC();
+  ScopedCacheDir Cache;
+  FakeCc A("fake-cc 1.0"), B("fake-cc 1.0");
+  {
+    ScopedEnv Path("PATH", A.path());
+    DiagnosticEngine D;
+    JITEngine J(D);
+    ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+  }
+  {
+    ScopedEnv Path("PATH", B.path());
+    DiagnosticEngine D;
+    JITEngine J(D);
+    ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+    // Same --version text, so the same cache key: only the probe repeats.
+    EXPECT_EQ(J.stats().CacheHits, 1u);
+    EXPECT_EQ(J.stats().CompilerLaunches, 0u);
+  }
+  EXPECT_EQ(A.probes(), 1u);
+  EXPECT_EQ(B.probes(), 1u);
+}
+
+TEST(JITCache, ThreadedIdentityProbe) {
+  REQUIRE_CC();
+  ScopedCacheDir Cache;
+  FakeCc Fake("fake-cc 1.0");
+  ScopedEnv Path("PATH", Fake.path());
+  constexpr int Threads = 8;
+  std::atomic<int> Ready{0}, Failures{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      DiagnosticEngine D;
+      JITEngine J(D);
+      // Start every compile at once so the engines race for the probe.
+      ++Ready;
+      while (Ready.load() != Threads)
+        std::this_thread::yield();
+      if (!J.addModule(uniqueSource("threaded", T), {}))
+        ++Failures;
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Failures.load(), 0);
+  EXPECT_EQ(Fake.probes(), 1u);
+}
+
+// The memo changes when the identity is read, not what it is: entries
+// published before it (here by an engine that probed the real cc through
+// another path) still hit, through both a probing and a memoized engine.
+TEST(JITCache, MemoizedIdentityKeepsCacheKeys) {
+  REQUIRE_CC();
+  ScopedCacheDir Cache;
+  {
+    DiagnosticEngine D;
+    JITEngine J(D);
+    ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+  }
+  FakeCc Fake(""); // Reports the real compiler's --version.
+  ScopedEnv Path("PATH", Fake.path());
+  for (int I = 0; I != 2; ++I) {
+    DiagnosticEngine D;
+    JITEngine J(D);
+    ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+    EXPECT_EQ(J.stats().CacheHits, 1u);
+    EXPECT_EQ(J.stats().CompilerLaunches, 0u);
+    EXPECT_EQ(identityProbes(J), I == 0 ? 1u : 0u);
+  }
+  EXPECT_EQ(Fake.probes(), 1u);
+}
+
+bool isDir(const std::string &Path) {
+  struct stat St;
+  return ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
+}
+
+TEST(JITCache, ScratchDirCreatedByCompileAndRemovedWithEngine) {
+  REQUIRE_CC();
+  ScopedCacheDir Cache;
+  std::string Scratch;
+  {
+    DiagnosticEngine D;
+    JITEngine J(D);
+    EXPECT_TRUE(J.scratchDirForTest().empty());
+    ASSERT_TRUE(J.addModule(ProbeSource, {})) << D.renderAll();
+    Scratch = J.scratchDirForTest();
+    ASSERT_FALSE(Scratch.empty());
+    EXPECT_TRUE(isDir(Scratch));
+  }
+  EXPECT_FALSE(isDir(Scratch)) << Scratch << " outlived its engine";
+}
+
+TEST(JITCache, CacheHitNativeEngineCreatesNoScratchDir) {
+  REQUIRE_CC();
+  ScopedCacheDir Cache;
+  ScopedEnv Tier("TERRACPP_JIT_TIER", "1");
+  for (int Pass = 0; Pass != 2; ++Pass) {
+    Engine E(BackendKind::Native);
+    ASSERT_TRUE(E.run("terra warm7(x: int): int return x * 7 end"))
+        << E.errors();
+    std::vector<lua::Value> Results;
+    ASSERT_TRUE(E.call(E.global("warm7"), {lua::Value::number(6)}, Results))
+        << E.errors();
+    ASSERT_FALSE(Results.empty());
+    EXPECT_EQ(Results[0].asNumber(), 42);
+    JITEngine &J = E.compiler().jit();
+    if (Pass == 0) {
+      EXPECT_FALSE(J.scratchDirForTest().empty());
+      continue;
+    }
+    // The warm engine spawned nothing and created nothing.
+    EXPECT_EQ(J.stats().CompilerLaunches, 0u);
+    EXPECT_GE(J.stats().CacheHits, 1u);
+    EXPECT_EQ(identityProbes(J), 0u);
+    EXPECT_TRUE(J.scratchDirForTest().empty());
+  }
+}
+
+TEST(JITCache, InterpEngineCreatesNoScratchDir) {
+  Engine E(BackendKind::Interp);
+  ASSERT_TRUE(E.run("terra interp1(x: int): int return x + 1 end"))
+      << E.errors();
+  std::vector<lua::Value> Results;
+  ASSERT_TRUE(E.call(E.global("interp1"), {lua::Value::number(41)}, Results))
+      << E.errors();
+  ASSERT_FALSE(Results.empty());
+  EXPECT_EQ(Results[0].asNumber(), 42);
+  EXPECT_TRUE(E.compiler().jit().scratchDirForTest().empty());
+}
+
+TEST(JITCache, CacheMaxMbRejectsGarbage) {
+  ScopedEnv Bound("TERRACPP_CACHE_MAX_MB", "abc");
+  DiagnosticEngine D;
+  JITEngine J(D);
+  EXPECT_EQ(J.cacheMaxBytes(), 0u); // Malformed: unbounded, with a warning.
+  ScopedEnv Half("TERRACPP_CACHE_MAX_MB", "0.5");
+  DiagnosticEngine D2;
+  JITEngine J2(D2);
+  EXPECT_EQ(J2.cacheMaxBytes(), 512u * 1024u);
 }
 
 } // namespace

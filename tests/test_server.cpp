@@ -721,12 +721,18 @@ TEST(Terrad, TraceDumpConsistentUnderConcurrentLoad) {
   // Writers hammer the recorder through real requests while readers pull
   // trace_dump snapshots: every snapshot must be internally consistent
   // (well-formed events, absolute timestamps), never torn.
-  std::atomic<bool> Stop{false};
+  std::atomic<bool> Stop{false}, Pinged{false};
   std::thread Load([&] {
     Client C = F.client();
     while (!Stop.load())
-      C.ping();
+      if (C.ping())
+        Pinged = true;
   });
+  // trace_dump is answered inline while pings go through the worker queue,
+  // so 20 quick dumps can all finish before the first ping is served. Wait
+  // for one served ping (its spans are recorded before the reply is sent).
+  for (int I = 0; I != 10000 && !Pinged.load(); ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   Client C = F.client();
   size_t PrevCount = 0;
   for (int I = 0; I != 20; ++I) {
