@@ -3,17 +3,14 @@
 #include "server/Protocol.h"
 #include "support/Backoff.h"
 #include "support/ContentHash.h"
+#include "support/EnvParse.h"
 #include "support/Log.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-#include <cerrno>
+#include <climits>
 #include <csignal>
-#include <cstring>
 #include <fstream>
 #include <map>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace terracpp;
@@ -21,38 +18,26 @@ using namespace terracpp::fleet;
 using terracpp::json::Value;
 
 //===----------------------------------------------------------------------===//
-// Signal plumbing (separate flag from Server's: terrad and terrafleet are
-// different binaries, and a test process may host both).
-//===----------------------------------------------------------------------===//
-
-static std::atomic<int> GFleetSignalFlag{0};
-static_assert(std::atomic<int>::is_always_lock_free);
-
-static void fleetSignalHandler(int) {
-  GFleetSignalFlag.store(1, std::memory_order_relaxed);
-}
-
-void Router::installSignalHandlers() {
-  struct sigaction SA;
-  memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = fleetSignalHandler;
-  sigemptyset(&SA.sa_mask);
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
-}
-
-bool Router::signalReceived() {
-  return GFleetSignalFlag.load(std::memory_order_relaxed) != 0;
-}
-
-//===----------------------------------------------------------------------===//
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
-Router::FrontLink::~FrontLink() {
-  if (Fd >= 0)
-    ::close(Fd);
+RouterConfig RouterConfig::fromEnv() {
+  RouterConfig C;
+  C.SlowRequestMs = static_cast<int>(
+      envcfg::parseUInt("TERRAFLEET_SLOW_MS", C.SlowRequestMs, 0, INT_MAX));
+  return C;
 }
+
+/// The front end's per-connection hook; the router keeps no per-connection
+/// state beyond the link itself.
+struct Router::FrontSession final : server::FrontEnd::Session {
+  Router &R;
+  Link L;
+  FrontSession(Router &R, Link L) : R(R), L(std::move(L)) {}
+  bool handle(server::FrontEnd::Request &&Req) override {
+    return R.handleFront(L, std::move(Req));
+  }
+};
 
 Router::Router(RouterConfig C)
     : Config(std::move(C)),
@@ -62,10 +47,10 @@ Router::Router(RouterConfig C)
       MReconnects(Reg.counter("fleet.reconnects")),
       MRespawns(Reg.counter("fleet.respawns")),
       MBatchRequests(Reg.counter("fleet.batch_requests")),
-      MProtocolMismatches(Reg.counter("fleet.protocol_mismatches")),
       MSlowRequests(Reg.counter("fleet.slow_requests")),
       MShardsUp(Reg.gauge("fleet.shards_up")),
-      MRouteLatencyUs(Reg.histogram("fleet.route_latency_us")) {
+      MRouteLatencyUs(Reg.histogram("fleet.route_latency_us")),
+      FE(*this, Reg, "fleet") {
   for (size_t I = 0; I != Config.Shards.size(); ++I) {
     auto S = std::make_unique<Shard>();
     S->Cfg = Config.Shards[I];
@@ -174,7 +159,7 @@ void Router::onShardLost(unsigned Index) {
 }
 
 bool Router::start(std::string &Err) {
-  if (Started) {
+  if (FE.started()) {
     Err = "router already started";
     return false;
   }
@@ -209,91 +194,15 @@ bool Router::start(std::string &Err) {
     return false;
   }
 
-  ListenFd = server::listenUnix(Config.FrontSocket, Config.Backlog, Err);
-  if (ListenFd < 0)
+  if (!FE.listen(Config.FrontSocket, Config.Backlog, Err))
     return false;
-
-  Acceptor = std::thread([this] { acceptLoop(); });
   Monitor = std::thread([this] { monitorLoop(); });
-  Started = true;
+  FE.start();
   logging::emit(logging::Level::Info, "fleet.start",
                 {{"front", Config.FrontSocket},
                  {"shards", std::to_string(Shards.size())},
                  {"shards_up", std::to_string(UpCount)}});
   return true;
-}
-
-void Router::requestShutdown() {
-  bool Expected = false;
-  if (!Draining.compare_exchange_strong(Expected, true))
-    return;
-  if (!Started)
-    ShutdownComplete = true;
-}
-
-void Router::wait() {
-  if (!Started)
-    return;
-  std::unique_lock<std::mutex> Lock(ShutdownMutex);
-  ShutdownCV.wait(Lock, [&] { return ShutdownComplete.load(); });
-  if (Acceptor.joinable())
-    Acceptor.join();
-}
-
-void Router::acceptLoop() {
-  while (!Draining) {
-    if (signalReceived()) {
-      GFleetSignalFlag.store(0, std::memory_order_relaxed);
-      requestShutdown();
-    }
-    if (Draining)
-      break;
-    struct pollfd PFd = {ListenFd, POLLIN, 0};
-    int PR = ::poll(&PFd, 1, 100);
-    reapFronts(/*Join=*/false);
-    if (PR < 0) {
-      if (errno == EINTR)
-        continue;
-      requestShutdown();
-      break;
-    }
-    if (PR == 0 || !(PFd.revents & POLLIN))
-      continue;
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    auto FC = std::make_unique<FrontConn>();
-    FC->Link = std::make_shared<FrontLink>();
-    FC->Link->Fd = Fd;
-    FrontConn *FCP = FC.get();
-    std::lock_guard<std::mutex> Lock(FrontM);
-    Fronts.push_back(std::move(FC));
-    FCP->Reader = std::thread([this, FCP] {
-      frontLoop(FCP->Link);
-      FCP->Finished = true;
-    });
-  }
-  beginShutdown();
-}
-
-void Router::reapFronts(bool Join) {
-  std::vector<std::unique_ptr<FrontConn>> Dead;
-  {
-    std::lock_guard<std::mutex> Lock(FrontM);
-    auto Keep = Fronts.begin();
-    for (auto &F : Fronts) {
-      if (Join || F->Finished)
-        Dead.push_back(std::move(F));
-      else
-        *Keep++ = std::move(F);
-    }
-    Fronts.erase(Keep, Fronts.end());
-  }
-  for (auto &F : Dead)
-    if (F->Reader.joinable())
-      F->Reader.join();
-  // The link fd closes when the last shared_ptr drops — possibly later,
-  // from an in-flight relay callback. Writes after shutdown fail benignly.
 }
 
 void Router::monitorLoop() {
@@ -356,14 +265,9 @@ void Router::monitorLoop() {
   }
 }
 
-void Router::beginShutdown() {
-  // 1. Stop accepting new fronts.
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  ::unlink(Config.FrontSocket.c_str());
-  // 2. Bounded grace for in-flight relays to complete.
+void Router::drainWork() {
+  // The front socket already stopped listening. Bounded grace for in-flight
+  // relays to complete.
   for (int WaitedMs = 0; WaitedMs < 2000; WaitedMs += 20) {
     unsigned InFlight = 0;
     for (auto &S : Shards)
@@ -373,9 +277,9 @@ void Router::beginShutdown() {
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  // 2b. Write the merged fleet trace while the shards are still alive to
-  //     answer trace_dump — after the grace wait, so in-flight requests'
-  //     spans are recorded, and before shard teardown below.
+  // Write the merged fleet trace while the shards are still alive to answer
+  // trace_dump — after the grace wait, so in-flight requests' spans are
+  // recorded, and before shard teardown.
   if (!Config.TraceOutPath.empty()) {
     Value Merged = mergedTraceJson();
     std::ofstream Out(Config.TraceOutPath, std::ios::trunc);
@@ -390,21 +294,16 @@ void Router::beginShutdown() {
                     {{"path", Config.TraceOutPath}});
     }
   }
-  // 3. Stop the monitor before tearing down shard connections, so it
-  //    cannot resurrect them mid-shutdown.
+  // Stop the monitor before shard connections are torn down, so it cannot
+  // resurrect them mid-shutdown. The front end closes the front
+  // connections next.
   StopMonitor.store(true, std::memory_order_release);
   if (Monitor.joinable())
     Monitor.join();
-  // 4. Wake and reap every front reader.
-  {
-    std::lock_guard<std::mutex> Lock(FrontM);
-    for (auto &F : Fronts) {
-      F->Link->Closed.store(true, std::memory_order_release);
-      ::shutdown(F->Link->Fd, SHUT_RDWR);
-    }
-  }
-  reapFronts(/*Join=*/true);
-  // 5. Owned shards drain and exit; attached shards are left running.
+}
+
+void Router::afterConnections() {
+  // Owned shards drain and exit; attached shards are left running.
   for (unsigned I = 0; I != Shards.size(); ++I) {
     Shard &S = *Shards[I];
     if (S.Cfg.Spawn && S.Up.load(std::memory_order_acquire)) {
@@ -421,11 +320,6 @@ void Router::beginShutdown() {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> Lock(ShutdownMutex);
-    ShutdownComplete = true;
-  }
-  ShutdownCV.notify_all();
 }
 
 //===----------------------------------------------------------------------===//
@@ -449,161 +343,51 @@ bool Router::shardUp(unsigned Index) {
 // Front connections
 //===----------------------------------------------------------------------===//
 
-bool Router::relayToFront(const std::shared_ptr<FrontLink> &Link,
-                          Value Response, const Value &ClientId) {
-  // The mux id is router-internal; restore the client's own id (if any).
-  Response.remove("id");
-  if (!ClientId.isNull())
-    Response.set("id", ClientId);
-  Response.set("v", Value::number(server::ProtocolVersion));
-  std::lock_guard<std::mutex> Lock(Link->WriteM);
-  if (Link->Closed.load(std::memory_order_acquire))
-    return false;
-  if (!server::writeMessage(Link->Fd, Response)) {
-    Link->Closed.store(true, std::memory_order_release);
-    return false;
-  }
-  return true;
+std::unique_ptr<server::FrontEnd::Session> Router::openSession(Link C) {
+  return std::make_unique<FrontSession>(*this, std::move(C));
 }
 
-void Router::frontLoop(std::shared_ptr<FrontLink> Link) {
-  while (true) {
-    Value Request;
-    std::string Err;
-    server::FrameStatus St = server::readMessage(Link->Fd, Request, Err);
-    if (St != server::FrameStatus::OK) {
-      if (St == server::FrameStatus::Error && !Err.empty() &&
-          Err != "frame read failed")
-        relayToFront(Link, server::errorResponse("bad request: " + Err),
-                     Value());
-      break;
-    }
-    if (!Request.isObject()) {
-      if (!relayToFront(Link,
-                        server::errorResponse("request must be a JSON object"),
-                        Value()))
-        break;
-      continue;
-    }
-
-    Value ClientId;
-    if (const Value *IdV = Request.get("id"))
-      ClientId = *IdV;
-
-    // Every front-socket response carries the request's trace_id —
-    // client-supplied or generated here — including protocol_mismatch
-    // refusals and router-originated errors, so a client can correlate any
-    // answer (and the fleet's spans) with its own trace. Stamping it into
-    // the request means shards and MuxClient-originated errors echo the
-    // same id without further plumbing.
-    std::string TraceId = Request.getString("trace_id");
-    if (TraceId.empty()) {
-      static const std::string PidPrefix = std::to_string(::getpid()) + "-";
-      TraceId = PidPrefix +
-                std::to_string(NextTraceId.fetch_add(
-                    1, std::memory_order_relaxed));
-      Request.set("trace_id", Value::string(TraceId));
-    }
-    auto answerLocal = [&](Value R) {
-      R.set("trace_id", Value::string(TraceId));
-      return relayToFront(Link, std::move(R), ClientId);
-    };
-
-    // Same version gate as terrad's: the router refuses to relay frames it
-    // might be misreading.
-    {
-      const Value *V = Request.get("v");
-      int Got = (V && V->isNumber()) ? static_cast<int>(V->asNumber()) : 0;
-      if (Got != server::ProtocolVersion) {
-        MProtocolMismatches.inc();
-        Value R = server::errorResponseCode(
-            "protocol_mismatch",
-            "protocol version mismatch: router speaks v" +
-                std::to_string(server::ProtocolVersion) + ", request carried " +
-                (V ? "v" + std::to_string(Got) : std::string("no version")));
-        R.set("expected", Value::number(server::ProtocolVersion));
-        R.set("got", Value::number(Got));
-        if (!answerLocal(std::move(R)))
-          break;
-        continue;
-      }
-    }
-
-    std::string Op = Request.getString("op");
-
-    if (Op == "ping") {
-      // Plain pings are a front-socket health check and answered here. A
-      // ping carrying delay_ms is the protocol's latency-simulation knob
-      // and must exercise a real shard round trip, so it is routed.
-      if (Request.get("delay_ms")) {
-        routeRequest(Link, std::move(Request), Op);
-        continue;
-      }
-      Value R = Value::object();
-      R.set("ok", Value::boolean(true));
-      R.set("fleet", Value::boolean(true));
-      if (!answerLocal(std::move(R)))
-        break;
-      continue;
-    }
-    if (Op == "stats") {
-      if (!answerLocal(aggregatedStats()))
-        break;
-      continue;
-    }
-    if (Op == "metrics") {
-      if (!answerLocal(aggregatedMetrics()))
-        break;
-      continue;
-    }
-    if (Op == "metrics_text") {
-      if (!answerLocal(aggregatedMetricsText(Request)))
-        break;
-      continue;
-    }
-    if (Op == "trace_dump") {
-      Value R = mergedTraceJson();
-      R.set("ok", Value::boolean(true));
-      if (!answerLocal(std::move(R)))
-        break;
-      continue;
-    }
-    if (Op == "profile") {
-      if (!answerLocal(aggregatedProfile(Request)))
-        break;
-      continue;
-    }
-    if (Op == "shutdown") {
-      Value R = Value::object();
-      R.set("ok", Value::boolean(true));
-      R.set("draining", Value::boolean(true));
-      answerLocal(std::move(R));
-      requestShutdown();
-      continue;
-    }
-    if (Op == "compile_batch") {
-      routeBatch(Link, Request);
-      continue;
-    }
-    if (Op == "compile" || Op == "call") {
-      routeRequest(Link, std::move(Request), Op);
-      continue;
-    }
-    if (!answerLocal(server::errorResponse("unknown op '" + Op + "'")))
-      break;
-  }
+json::Value Router::controlOp(const std::string &Op, const Value &Request) {
+  if (Op == "stats")
+    return aggregatedStats();
+  if (Op == "metrics")
+    return aggregatedMetrics();
+  if (Op == "metrics_text")
+    return aggregatedMetricsText(Request);
+  if (Op == "profile")
+    return aggregatedProfile(Request);
+  Value R = mergedTraceJson();
+  R.set("ok", Value::boolean(true));
+  return R;
 }
 
-void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
-                          Value Request, const std::string &Op) {
-  Value ClientId;
-  if (const Value *IdV = Request.get("id"))
-    ClientId = *IdV;
-  std::string TraceId = Request.getString("trace_id");
-  auto answer = [&](Value R) {
-    if (!TraceId.empty())
-      R.set("trace_id", Value::string(TraceId));
-    return relayToFront(Link, std::move(R), ClientId);
+bool Router::handleFront(const Link &L, server::FrontEnd::Request &&R) {
+  if (R.Op == "ping" && !R.Body.get("delay_ms")) {
+    // Plain pings are a front-socket health check and answered here. A
+    // ping carrying delay_ms is the protocol's latency-simulation knob and
+    // must exercise a real shard round trip, so it is routed.
+    Value Pong = Value::object();
+    Pong.set("ok", Value::boolean(true));
+    Pong.set("fleet", Value::boolean(true));
+    return L->reply(std::move(Pong), R.TraceId, R.Id);
+  }
+  if (R.Op == "compile_batch") {
+    routeBatch(L, R);
+    return true;
+  }
+  if (R.Op == "compile" || R.Op == "call" || R.Op == "ping") {
+    routeRequest(L, std::move(R));
+    return true;
+  }
+  return L->reply(server::errorResponse("unknown op '" + R.Op + "'"),
+                  R.TraceId, R.Id);
+}
+
+void Router::routeRequest(const Link &L, server::FrontEnd::Request &&R) {
+  const std::string &Op = R.Op;
+  Value &Request = R.Body;
+  auto answer = [&](Value Resp) {
+    L->reply(std::move(Resp), R.TraceId, R.Id);
   };
 
   // Placement key: terrad's own handle derivation, so compile and every
@@ -633,7 +417,6 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
       return;
     }
   }
-
   int Idx = shardIndexForKey(Key);
   if (Idx < 0) {
     MRequestsFailed.inc();
@@ -670,7 +453,7 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
   // structured timeout answer (which names the op) normally wins.
   uint64_t Ticket = S.Mux.submit(
       std::move(Request), TimeoutMs + 2000,
-      [this, Link, ClientId, StartUs, Op, Idx, TraceId, HopSpan,
+      [this, L, Id = R.Id, StartUs, Op, Idx, TraceId = R.TraceId, HopSpan,
        ClientParent](Value Resp) {
         uint64_t EndUs = telemetry::nowMicros();
         MRouteLatencyUs.record(EndUs - StartUs);
@@ -705,9 +488,7 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
           if (Resp.getString("code") == "shard_unavailable")
             MShardUnavailable.inc();
         }
-        if (!TraceId.empty() && Resp.getString("trace_id").empty())
-          Resp.set("trace_id", Value::string(TraceId));
-        relayToFront(Link, std::move(Resp), ClientId);
+        L->reply(std::move(Resp), TraceId, Id);
       });
   if (Ticket == 0) {
     MRequestsFailed.inc();
@@ -718,22 +499,15 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
   }
 }
 
-void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
-                        const Value &Request) {
+void Router::routeBatch(const Link &L, const server::FrontEnd::Request &R) {
   MBatchRequests.inc();
-  Value ClientId;
-  if (const Value *IdV = Request.get("id"))
-    ClientId = *IdV;
-  std::string TraceId = Request.getString("trace_id");
-
+  const Value &Request = R.Body;
   const Value *Sources = Request.get("sources");
   if (!Sources || !Sources->isArray()) {
     MRequestsFailed.inc();
-    Value R = server::errorResponse(
-        "compile_batch: missing array member 'sources'");
-    if (!TraceId.empty())
-      R.set("trace_id", Value::string(TraceId));
-    relayToFront(Link, std::move(R), ClientId);
+    L->reply(server::errorResponse(
+                 "compile_batch: missing array member 'sources'"),
+             R.TraceId, R.Id);
     return;
   }
   size_t N = Sources->size();
@@ -770,16 +544,14 @@ void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
     Groups[static_cast<unsigned>(Idx)].push_back(I);
   }
 
-  auto assembleAndRelay = [this, Link, ClientId, St, TraceId] {
+  auto assembleAndRelay = [L, Id = R.Id, St, TraceId = R.TraceId] {
     Value Results = Value::array();
     for (Value &S : St->Slots)
       Results.push(std::move(S));
-    Value R = Value::object();
-    R.set("ok", Value::boolean(true));
-    R.set("results", std::move(Results));
-    if (!TraceId.empty())
-      R.set("trace_id", Value::string(TraceId));
-    relayToFront(Link, std::move(R), ClientId);
+    Value Resp = Value::object();
+    Resp.set("ok", Value::boolean(true));
+    Resp.set("results", std::move(Results));
+    L->reply(std::move(Resp), TraceId, Id);
   };
 
   if (Groups.empty()) {
@@ -851,7 +623,32 @@ void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
 // Aggregated control plane
 //===----------------------------------------------------------------------===//
 
+/// {"op": Op}, the shape of every control-op fan-out request.
+static Value opRequest(const char *Op) {
+  Value Req = Value::object();
+  Req.set("op", Value::string(Op));
+  return Req;
+}
+
+std::vector<Value>
+Router::fanOut(const std::function<Value(unsigned)> &RequestFor) {
+  std::vector<Value> Replies(Shards.size());
+  for (unsigned I = 0; I != Shards.size(); ++I) {
+    Shard &S = *Shards[I];
+    if (!S.Up.load(std::memory_order_acquire))
+      continue;
+    Value Resp = S.Mux.request(RequestFor(I), 2000);
+    if (!Resp.getBool("ok"))
+      continue;
+    Resp.remove("id");
+    Resp.remove("trace_id");
+    Replies[I] = std::move(Resp);
+  }
+  return Replies;
+}
+
 json::Value Router::aggregatedStats() {
+  std::vector<Value> Replies = fanOut([](unsigned) { return opRequest("stats"); });
   Value R = Value::object();
   R.set("ok", Value::boolean(true));
   R.set("fleet", Reg.toJson());
@@ -860,29 +657,21 @@ json::Value Router::aggregatedStats() {
          Received = 0, EnginesCreated = 0, WarmHits = 0;
   Value ShardsArr = Value::array();
   for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
     Value SJ = Value::object();
     SJ.set("index", Value::number(I));
-    SJ.set("socket", Value::string(S.Cfg.SocketPath));
-    bool Up = S.Up.load(std::memory_order_acquire);
-    SJ.set("up", Value::boolean(Up));
-    if (Up) {
-      Value Req = Value::object();
-      Req.set("op", Value::string("stats"));
-      Value Resp = S.Mux.request(std::move(Req), 2000);
-      if (Resp.getBool("ok")) {
-        Hits += Resp.getNumber("jit_cache_hits");
-        Misses += Resp.getNumber("jit_cache_misses");
-        Compiles += Resp.getNumber("compile_requests");
-        Batches += Resp.getNumber("compile_batch_requests");
-        Calls += Resp.getNumber("call_requests");
-        Received += Resp.getNumber("requests_received");
-        EnginesCreated += Resp.getNumber("engines_created");
-        WarmHits += Resp.getNumber("engine_warm_hits");
-        Resp.remove("id");
-        Resp.remove("trace_id");
-        SJ.set("stats", std::move(Resp));
-      }
+    SJ.set("socket", Value::string(Shards[I]->Cfg.SocketPath));
+    SJ.set("up", Value::boolean(shardUp(I)));
+    Value &Resp = Replies[I];
+    if (!Resp.isNull()) {
+      Hits += Resp.getNumber("jit_cache_hits");
+      Misses += Resp.getNumber("jit_cache_misses");
+      Compiles += Resp.getNumber("compile_requests");
+      Batches += Resp.getNumber("compile_batch_requests");
+      Calls += Resp.getNumber("call_requests");
+      Received += Resp.getNumber("requests_received");
+      EnginesCreated += Resp.getNumber("engines_created");
+      WarmHits += Resp.getNumber("engine_warm_hits");
+      SJ.set("stats", std::move(Resp));
     }
     ShardsArr.push(std::move(SJ));
   }
@@ -907,26 +696,18 @@ json::Value Router::aggregatedStats() {
 }
 
 json::Value Router::aggregatedMetrics() {
+  std::vector<Value> Replies =
+      fanOut([](unsigned) { return opRequest("metrics"); });
   Value R = Value::object();
   R.set("ok", Value::boolean(true));
   R.set("fleet", Reg.toJson());
   Value ShardsArr = Value::array();
   for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
     Value SJ = Value::object();
     SJ.set("index", Value::number(I));
-    bool Up = S.Up.load(std::memory_order_acquire);
-    SJ.set("up", Value::boolean(Up));
-    if (Up) {
-      Value Req = Value::object();
-      Req.set("op", Value::string("metrics"));
-      Value Resp = S.Mux.request(std::move(Req), 2000);
-      if (Resp.getBool("ok")) {
-        Resp.remove("id");
-        Resp.remove("trace_id");
-        SJ.set("metrics", std::move(Resp));
-      }
-    }
+    SJ.set("up", Value::boolean(shardUp(I)));
+    if (!Replies[I].isNull())
+      SJ.set("metrics", std::move(Replies[I]));
     ShardsArr.push(std::move(SJ));
   }
   R.set("shards", std::move(ShardsArr));
@@ -976,19 +757,16 @@ json::Value Router::mergedTraceJson() {
   // already are the reference clock.
   appendProcessEvents(TraceEvents, trace::Recorder::global().dumpAbsolute(),
                       /*OffsetUs=*/0);
+  std::vector<Value> Dumps =
+      fanOut([](unsigned) { return opRequest("trace_dump"); });
   for (unsigned I = 0; I != Shards.size(); ++I) {
+    if (Dumps[I].isNull())
+      continue;
     Shard &S = *Shards[I];
-    if (!S.Up.load(std::memory_order_acquire))
-      continue;
-    Value Req = Value::object();
-    Req.set("op", Value::string("trace_dump"));
-    Value Resp = S.Mux.request(std::move(Req), 2000);
-    if (!Resp.getBool("ok"))
-      continue;
     int64_t Off = S.ClockAligned.load(std::memory_order_acquire)
                       ? S.ClockOffsetUs.load(std::memory_order_acquire)
                       : 0;
-    appendProcessEvents(TraceEvents, Resp, Off);
+    appendProcessEvents(TraceEvents, Dumps[I], Off);
   }
   Value R = Value::object();
   R.set("traceEvents", std::move(TraceEvents));
@@ -1011,26 +789,17 @@ json::Value Router::aggregatedMetricsText(const Value &Request) {
 
   std::vector<std::string> Parts;
   Parts.push_back(telemetry::toPrometheusText(Reg, Labels));
-  for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
-    if (!S.Up.load(std::memory_order_acquire))
-      continue;
-    Value Req = Value::object();
-    Req.set("op", Value::string("metrics_text"));
-    // The shard stamps its own {process,pid}; the router adds the shard
-    // index (plus any client labels) so one scrape distinguishes lanes.
-    Value ShardLabels = ClientLabels;
-    if (!ShardLabels.isObject())
-      ShardLabels = Value::object();
-    ShardLabels.set("shard", Value::string(std::to_string(I)));
-    Req.set("labels", std::move(ShardLabels));
-    Value Resp = S.Mux.request(std::move(Req), 2000);
-    if (Resp.getBool("ok")) {
-      std::string Text = Resp.getString("text");
-      if (!Text.empty())
-        Parts.push_back(std::move(Text));
-    }
-  }
+  // The shard stamps its own {process,pid}; the router adds the shard index
+  // (plus any client labels) so one scrape distinguishes lanes.
+  for (Value &Resp : fanOut([&](unsigned I) {
+         Value Req = opRequest("metrics_text");
+         Value ShardLabels = ClientLabels;
+         ShardLabels.set("shard", Value::string(std::to_string(I)));
+         Req.set("labels", std::move(ShardLabels));
+         return Req;
+       }))
+    if (std::string Text = Resp.getString("text"); !Text.empty())
+      Parts.push_back(std::move(Text));
   Value R = Value::object();
   R.set("ok", Value::boolean(true));
   R.set("content_type", Value::string("text/plain; version=0.0.4"));
@@ -1039,19 +808,13 @@ json::Value Router::aggregatedMetricsText(const Value &Request) {
 }
 
 json::Value Router::aggregatedProfile(const Value &Request) {
+  Value Req = opRequest("profile");
+  if (const Value *H = Request.get("handle"))
+    Req.set("handle", *H);
+  std::vector<Value> Replies = fanOut([&](unsigned) { return Req; });
   Value Components = Value::object();
   for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
-    if (!S.Up.load(std::memory_order_acquire))
-      continue;
-    Value Req = Value::object();
-    Req.set("op", Value::string("profile"));
-    if (const Value *H = Request.get("handle"))
-      Req.set("handle", *H);
-    Value Resp = S.Mux.request(std::move(Req), 2000);
-    if (!Resp.getBool("ok"))
-      continue;
-    const Value *C = Resp.get("components");
+    const Value *C = Replies[I].get("components");
     if (!C || !C->isObject())
       continue;
     // Component hashes are content-derived, so cross-shard collisions are

@@ -3,7 +3,11 @@
 // A fleet front-end that speaks the ordinary terrad protocol on its front
 // socket and fans requests out across N terrad shards (DESIGN.md §12).
 // Clients — `terracpp --connect`, server/Client.h, fleet/MuxClient.h — need
-// no changes: the router looks exactly like one big terrad.
+// no changes: the router looks exactly like one big terrad. It is one: the
+// accept loop, reader prologue (trace ids, version gate), inline control
+// ops and drain skeleton are terrad's own server::FrontEnd (DESIGN.md §7);
+// the router plugs in the routing below, the control-op fan-out, and its
+// drain steps.
 //
 //   client ──▶ front socket ──▶ consistent-hash ring ──▶ shard 0 (terrad)
 //                    │            (HashRing.h, keyed by   shard 1 (terrad)
@@ -37,12 +41,13 @@
 
 #include "fleet/HashRing.h"
 #include "fleet/MuxClient.h"
+#include "server/FrontEnd.h"
 #include "support/Json.h"
 #include "support/Subprocess.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
-#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -77,12 +82,17 @@ struct RouterConfig {
   /// estimate each shard's clock offset after connect, so trace_dump /
   /// mergedTraceJson can assemble a cross-process timeline.
   bool TraceShards = false;
-  /// When set, beginShutdown writes the merged fleet trace here (while the
+  /// When set, the drain writes the merged fleet trace here (while the
   /// shards are still alive to answer trace_dump).
   std::string TraceOutPath;
+
+  /// The defaults above with SlowRequestMs overridden by TERRAFLEET_SLOW_MS
+  /// (a malformed value keeps the default and warns once). terrafleet
+  /// applies its flags on top, so flags win over the environment.
+  static RouterConfig fromEnv();
 };
 
-class Router {
+class Router : private server::FrontEnd::Service {
 public:
   explicit Router(RouterConfig Config);
   ~Router();
@@ -96,20 +106,14 @@ public:
 
   /// Blocks until shutdown completes (signal, shutdown request, or
   /// requestShutdown()).
-  void wait();
+  void wait() { FE.wait(); }
 
   /// Initiates shutdown from any thread (idempotent). Owned shards get a
   /// shutdown request then SIGTERM; attached shards are left running.
-  void requestShutdown();
+  void requestShutdown() { FE.requestShutdown(); }
 
-  bool running() const { return Started && !ShutdownComplete; }
+  bool running() const { return FE.running(); }
   const RouterConfig &config() const { return Config; }
-
-  /// SIGTERM/SIGINT -> drain, same contract as Server's (separate flag, so
-  /// a router and a server in one process do not consume each other's
-  /// signals — terrad and terrafleet are different binaries anyway).
-  static void installSignalHandlers();
-  static bool signalReceived();
 
   /// Which shard the ring places \p Key on (a handle / content hash), or
   /// -1 when the ring is empty. Exposed for tests and diagnostics.
@@ -138,38 +142,35 @@ private:
     std::atomic<bool> ClockAligned{false};
   };
 
-  /// One front-side client connection. Held by shared_ptr from the reader
-  /// thread and every in-flight relay callback; the fd closes when the
-  /// last holder lets go, so a late shard response can never write to a
+  /// A front-side client connection. The relay callbacks of its in-flight
+  /// requests hold it too, so a late shard response never writes to a
   /// recycled fd.
-  struct FrontLink {
-    int Fd = -1;
-    std::mutex WriteM;
-    std::atomic<bool> Closed{false};
-    ~FrontLink();
-  };
-  struct FrontConn {
-    std::shared_ptr<FrontLink> Link;
-    std::thread Reader;
-    std::atomic<bool> Finished{false};
-  };
+  using Link = std::shared_ptr<server::FrontEnd::Connection>;
+  struct FrontSession;
 
-  void acceptLoop();
+  // server::FrontEnd::Service.
+  std::unique_ptr<server::FrontEnd::Session> openSession(Link C) override;
+  json::Value controlOp(const std::string &Op,
+                        const json::Value &Request) override;
+  void drainWork() override;
+  void afterConnections() override;
+
   void monitorLoop();
-  void frontLoop(std::shared_ptr<FrontLink> Link);
-  void reapFronts(bool Join);
-  void beginShutdown();
+  /// The front data plane: local pings, routed compile/call/ping, batches.
+  bool handleFront(const Link &L, server::FrontEnd::Request &&R);
 
   bool spawnShard(unsigned Index, std::string &Err);
   bool connectShard(unsigned Index, unsigned Attempts);
   void onShardLost(unsigned Index);
 
-  void routeRequest(const std::shared_ptr<FrontLink> &Link,
-                    json::Value Request, const std::string &Op);
-  void routeBatch(const std::shared_ptr<FrontLink> &Link,
-                  const json::Value &Request);
-  bool relayToFront(const std::shared_ptr<FrontLink> &Link,
-                    json::Value Response, const json::Value &ClientId);
+  void routeRequest(const Link &L, server::FrontEnd::Request &&R);
+  void routeBatch(const Link &L, const server::FrontEnd::Request &R);
+  /// Sends each up shard the request \p RequestFor builds for it (2000 ms
+  /// deadline), one shard at a time. One slot per shard: its ok reply with
+  /// the mux id and trace id removed, or null when the shard is down or
+  /// failed.
+  std::vector<json::Value>
+  fanOut(const std::function<json::Value(unsigned)> &RequestFor);
   json::Value aggregatedStats();
   json::Value aggregatedMetrics();
   /// Prometheus exposition: the router's registry plus every up shard's
@@ -197,19 +198,8 @@ private:
   std::mutex RingM;
   HashRing Ring;
 
-  int ListenFd = -1;
-  bool Started = false;
-  std::thread Acceptor;
   std::thread Monitor;
   std::atomic<bool> StopMonitor{false};
-
-  std::mutex FrontM;
-  std::vector<std::unique_ptr<FrontConn>> Fronts;
-
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> ShutdownComplete{false};
-  std::mutex ShutdownMutex;
-  std::condition_variable ShutdownCV;
 
   telemetry::Registry Reg;
   telemetry::Counter &MRequestsRouted;
@@ -218,12 +208,13 @@ private:
   telemetry::Counter &MReconnects;
   telemetry::Counter &MRespawns;
   telemetry::Counter &MBatchRequests;
-  telemetry::Counter &MProtocolMismatches;
   telemetry::Counter &MSlowRequests;
   telemetry::Gauge &MShardsUp;
   telemetry::Histogram &MRouteLatencyUs;
 
-  std::atomic<uint64_t> NextTraceId{1}; ///< For requests without a trace_id.
+  /// Declared last: it counts into Reg, and its drain calls back into the
+  /// members above.
+  server::FrontEnd FE;
 };
 
 } // namespace fleet

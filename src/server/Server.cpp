@@ -4,18 +4,13 @@
 #include "core/TerraTier.h"
 #include "server/Protocol.h"
 #include "support/ContentHash.h"
+#include "support/EnvParse.h"
 #include "support/Log.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
-#include <poll.h>
-#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 
@@ -26,37 +21,23 @@ using namespace terracpp::server;
 // Config
 //===----------------------------------------------------------------------===//
 
-static unsigned envUnsigned(const char *Name, unsigned Fallback, unsigned Lo,
-                            unsigned Hi) {
-  const char *V = getenv(Name);
-  if (!V)
-    return Fallback;
-  long N = strtol(V, nullptr, 10);
-  if (N < static_cast<long>(Lo) || N > static_cast<long>(Hi))
-    return Fallback;
-  return static_cast<unsigned>(N);
-}
-
-void ServerConfig::resolveFromEnv() {
-  if (Workers == 0) {
-    unsigned HW = std::thread::hardware_concurrency();
-    Workers = envUnsigned("TERRAD_WORKERS", HW > 2 ? HW : 2, 1, 128);
-  }
-  QueueCapacity = envUnsigned("TERRAD_QUEUE", QueueCapacity, 1, 1u << 16);
-  MaxEngines = envUnsigned("TERRAD_MAX_ENGINES", MaxEngines, 1, 1024);
-  RequestTimeoutMs = static_cast<int>(
-      envUnsigned("TERRAD_TIMEOUT_MS", static_cast<unsigned>(RequestTimeoutMs),
-                  1, 3600000));
-  MaxInFlightPerConn =
-      envUnsigned("TERRAD_MAX_INFLIGHT", MaxInFlightPerConn, 1, 1u << 16);
-  SlowRequestMs = static_cast<int>(envUnsigned(
-      "TERRAD_SLOW_MS", static_cast<unsigned>(SlowRequestMs), 0, 3600000));
-  if (SocketPath.empty()) {
-    if (const char *P = getenv("TERRAD_SOCKET"))
-      SocketPath = P;
-    else
-      SocketPath = "/tmp/terrad-" + std::to_string(::getuid()) + ".sock";
-  }
+ServerConfig ServerConfig::fromEnv() {
+  ServerConfig C;
+  C.SocketPath = envcfg::parseString(
+      "TERRAD_SOCKET", "/tmp/terrad-" + std::to_string(::getuid()) + ".sock");
+  C.Workers = static_cast<unsigned>(
+      envcfg::parseUInt("TERRAD_WORKERS", C.Workers, 1, 128));
+  C.QueueCapacity = static_cast<unsigned>(
+      envcfg::parseUInt("TERRAD_QUEUE", C.QueueCapacity, 1, 1u << 16));
+  C.MaxEngines = static_cast<unsigned>(
+      envcfg::parseUInt("TERRAD_MAX_ENGINES", C.MaxEngines, 1, 1024));
+  C.RequestTimeoutMs = static_cast<int>(
+      envcfg::parseUInt("TERRAD_TIMEOUT_MS", C.RequestTimeoutMs, 1, 3600000));
+  C.MaxInFlightPerConn = static_cast<unsigned>(envcfg::parseUInt(
+      "TERRAD_MAX_INFLIGHT", C.MaxInFlightPerConn, 1, 1u << 16));
+  C.SlowRequestMs = static_cast<int>(
+      envcfg::parseUInt("TERRAD_SLOW_MS", C.SlowRequestMs, 0, 3600000));
+  return C;
 }
 
 //===----------------------------------------------------------------------===//
@@ -85,28 +66,39 @@ struct Server::Job {
 };
 
 /// Per-connection state shared by the reader thread, the writer thread, and
-/// workers (via Job::Owner). Outlives the Conn entry through shared_ptr so
-/// a worker finishing after the connection died can still notify safely.
+/// workers (via Job::Owner). Shared ownership keeps the connection (and so
+/// its fd) alive for a worker that finishes after the client went away.
 struct Server::ConnState {
-  int Fd = -1;
+  std::shared_ptr<FrontEnd::Connection> Link;
   std::mutex M;               ///< Guards Pending + ReaderDone.
   std::condition_variable CV; ///< Job completed / reader exited.
   std::deque<std::shared_ptr<Job>> Pending; ///< Submitted, response not sent.
   bool ReaderDone = false;
-  std::mutex WriteM; ///< Serializes frames: inline replies vs writer thread.
-  std::atomic<bool> WriteFailed{false};
 };
 
-/// One client connection: its socket, the reader thread parsing requests,
-/// and the writer thread flushing completed responses.
-struct Server::Conn {
-  int Fd = -1;
-  std::thread Reader;
+/// The front end's per-connection hook: starts the connection's writer
+/// thread, and on the reader's exit lets the writer flush what is pending
+/// and joins it.
+struct Server::Session final : FrontEnd::Session {
+  Server &S;
+  std::shared_ptr<ConnState> St = std::make_shared<ConnState>();
   std::thread Writer;
-  std::shared_ptr<ConnState> State;
-  std::atomic<bool> ReaderFinished{false};
-  std::atomic<bool> WriterFinished{false};
-  bool finished() const { return ReaderFinished && WriterFinished; }
+
+  Session(Server &S, std::shared_ptr<FrontEnd::Connection> C) : S(S) {
+    St->Link = std::move(C);
+    Writer = std::thread([&S, St = St] { S.writerLoop(St); });
+  }
+  ~Session() override {
+    {
+      std::lock_guard<std::mutex> Lock(St->M);
+      St->ReaderDone = true;
+    }
+    St->CV.notify_all();
+    Writer.join();
+  }
+  bool handle(FrontEnd::Request &&R) override {
+    return S.submit(St, std::move(R));
+  }
 };
 
 /// One live script universe. Ready/Failed are written under ExecMutex; the
@@ -129,34 +121,6 @@ struct Server::EngineEntry {
   json::Value Warnings = json::Value::array();
   double CompileSeconds = 0;
 };
-
-//===----------------------------------------------------------------------===//
-// Signal plumbing
-//===----------------------------------------------------------------------===//
-
-// Lock-free atomic rather than volatile sig_atomic_t: the flag is written
-// by a signal handler on one thread and read/cleared by the accept loop on
-// another, which needs real inter-thread ordering (lock-free atomics are
-// async-signal-safe).
-static std::atomic<int> GSignalFlag{0};
-static_assert(std::atomic<int>::is_always_lock_free);
-
-static void terradSignalHandler(int) {
-  GSignalFlag.store(1, std::memory_order_relaxed);
-}
-
-void Server::installSignalHandlers() {
-  struct sigaction SA;
-  memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = terradSignalHandler;
-  sigemptyset(&SA.sa_mask);
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
-}
-
-bool Server::signalReceived() {
-  return GSignalFlag.load(std::memory_order_relaxed) != 0;
-}
 
 //===----------------------------------------------------------------------===//
 // Lifecycle
@@ -184,8 +148,12 @@ Server::Server(ServerConfig C)
       MCompileLatencyUs(Reg.histogram("server.op.compile.latency_us")),
       MCallLatencyUs(Reg.histogram("server.op.call.latency_us")),
       MPingLatencyUs(Reg.histogram("server.op.ping.latency_us")),
-      MOtherLatencyUs(Reg.histogram("server.op.other.latency_us")) {
-  Config.resolveFromEnv();
+      MOtherLatencyUs(Reg.histogram("server.op.other.latency_us")),
+      FE(*this, Reg, "server") {
+  if (Config.Workers == 0) {
+    unsigned HW = std::thread::hardware_concurrency();
+    Config.Workers = HW > 2 ? HW : 2;
+  }
 }
 
 telemetry::Histogram &Server::opLatencyHistogram(const std::string &Op) {
@@ -207,20 +175,13 @@ Server::~Server() {
 }
 
 bool Server::start(std::string &Err) {
-  if (Started) {
-    Err = "server already started";
+  if (!FE.listen(Config.SocketPath, Config.Backlog, Err))
     return false;
-  }
-  ListenFd = listenUnix(Config.SocketPath, Config.Backlog, Err);
-  if (ListenFd < 0)
-    return false;
-
   Workers = std::make_unique<ThreadPool>(Config.Workers);
   for (unsigned I = 0; I != Config.Workers; ++I)
     Workers->enqueue([this] { workerLoop(); });
-  Acceptor = std::thread([this] { acceptLoop(); });
   StartTime = std::chrono::steady_clock::now();
-  Started = true;
+  FE.start();
   logging::emit(logging::Level::Info, "server.start",
                 {{"socket", Config.SocketPath},
                  {"workers", std::to_string(Config.Workers)},
@@ -228,104 +189,10 @@ bool Server::start(std::string &Err) {
   return true;
 }
 
-void Server::requestShutdown() {
-  bool Expected = false;
-  if (!Draining.compare_exchange_strong(Expected, true))
-    return;
-  // The accept loop notices Draining within one poll interval and runs the
-  // drain sequence on its own thread; if the server never started there is
-  // nothing to drain.
-  if (!Started)
-    ShutdownComplete = true;
-}
-
-void Server::wait() {
-  if (!Started)
-    return;
-  std::unique_lock<std::mutex> Lock(ShutdownMutex);
-  ShutdownCV.wait(Lock, [&] { return ShutdownComplete.load(); });
-  if (Acceptor.joinable())
-    Acceptor.join();
-}
-
-void Server::acceptLoop() {
-  while (!Draining) {
-    if (signalReceived()) {
-      // Consume the signal so a later server in the same process (tests,
-      // embedding) does not observe a stale flag and drain on startup.
-      GSignalFlag.store(0, std::memory_order_relaxed);
-      requestShutdown();
-    }
-    if (Draining)
-      break;
-    struct pollfd PFd = {ListenFd, POLLIN, 0};
-    int PR = ::poll(&PFd, 1, 100);
-    // Reap every iteration (not just on accept) so a long-idle server does
-    // not hold dead connections' fds and threads until the next client.
-    reapConnections(/*Join=*/false);
-    if (PR < 0) {
-      if (errno == EINTR)
-        continue;
-      requestShutdown();
-      break;
-    }
-    if (PR == 0 || !(PFd.revents & POLLIN))
-      continue;
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    MConnectionsAccepted.inc();
-    logging::emit(logging::Level::Debug, "server.accept",
-                  {{"fd", std::to_string(Fd)}});
-    auto C = std::make_unique<Conn>();
-    C->Fd = Fd;
-    C->State = std::make_shared<ConnState>();
-    C->State->Fd = Fd;
-    Conn *CP = C.get();
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    Conns.push_back(std::move(C));
-    CP->Reader = std::thread([this, CP] { connectionLoop(CP); });
-    CP->Writer = std::thread([this, CP] {
-      writerLoop(CP->State);
-      CP->WriterFinished = true;
-    });
-  }
-  beginDrain();
-}
-
-void Server::reapConnections(bool Join) {
-  // Move the threads to join out of the lock: a reader being joined must be
-  // able to run to completion without needing ConnMutex (it does not — it
-  // only flips its Finished flag).
-  std::vector<std::unique_ptr<Conn>> Dead;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    auto Keep = Conns.begin();
-    for (auto &C : Conns) {
-      if (Join || C->finished())
-        Dead.push_back(std::move(C));
-      else
-        *Keep++ = std::move(C);
-    }
-    Conns.erase(Keep, Conns.end());
-  }
-  for (auto &C : Dead) {
-    if (C->Reader.joinable())
-      C->Reader.join();
-    if (C->Writer.joinable())
-      C->Writer.join();
-    // The fd is closed only here, after both threads are gone, so neither
-    // can ever race a close() with a still-running read/write — and a
-    // recycled fd number can never be shut down by a stale drain.
-    if (C->Fd >= 0)
-      ::close(C->Fd);
-  }
-}
-
-void Server::beginDrain() {
-  // 1. Stop feeding the queue (pushJob refuses while Draining) and wait for
-  //    queued + in-flight work to complete. Reader threads flush those
-  //    responses themselves.
+void Server::drainWork() {
+  // Stop feeding the queue (pushJob refuses while draining) and wait for
+  // queued + in-flight work to complete; the connections' writer threads
+  // flush those responses before the front end closes the connections.
   {
     std::unique_lock<std::mutex> Lock(QueueMutex);
     QueueCV.wait(Lock, [&] { return Queue.empty() && InFlight == 0; });
@@ -338,31 +205,9 @@ void Server::beginDrain() {
   // a SIGTERM'd terrad leaves a complete, parseable trace file even if the
   // process is killed before its at-exit hooks run.
   trace::Recorder::global().flush();
-  // 2. Wake the workers so the pool can join.
+  // Wake the workers so the pool can join.
   QueueCV.notify_all();
   Workers.reset();
-  // 3. Half-close every connection: pending response writes still succeed,
-  //    blocked readers see EOF and exit.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (auto &C : Conns)
-      ::shutdown(C->Fd, SHUT_RD);
-  }
-  reapConnections(/*Join=*/true);
-  finishShutdown();
-}
-
-void Server::finishShutdown() {
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  ::unlink(Config.SocketPath.c_str());
-  {
-    std::lock_guard<std::mutex> Lock(ShutdownMutex);
-    ShutdownComplete = true;
-  }
-  ShutdownCV.notify_all();
 }
 
 //===----------------------------------------------------------------------===//
@@ -376,7 +221,7 @@ bool Server::pushJob(const std::shared_ptr<Job> &J) {
   uint64_t Depth;
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
-    if (Draining || Queue.size() >= Config.QueueCapacity)
+    if (FE.draining() || Queue.size() >= Config.QueueCapacity)
       return false;
     Queue.push_back(J);
     Depth = Queue.size() + InFlight;
@@ -388,7 +233,7 @@ bool Server::pushJob(const std::shared_ptr<Job> &J) {
 
 std::shared_ptr<Server::Job> Server::popJob() {
   std::unique_lock<std::mutex> Lock(QueueMutex);
-  QueueCV.wait(Lock, [&] { return !Queue.empty() || Draining; });
+  QueueCV.wait(Lock, [&] { return !Queue.empty() || FE.draining(); });
   if (Queue.empty())
     return nullptr;
   std::shared_ptr<Job> J = Queue.front();
@@ -465,170 +310,66 @@ void Server::workerLoop() {
   }
 }
 
-/// Stamps the members every response carries: protocol version, trace id,
-/// and — when the request supplied one — the correlation id.
-static void decorateResponse(json::Value &R, const std::string &TraceId,
-                             const json::Value &Id) {
-  R.set("v", json::Value::number(ProtocolVersion));
-  R.set("trace_id", json::Value::string(TraceId));
-  if (!Id.isNull())
-    R.set("id", Id);
+std::unique_ptr<FrontEnd::Session>
+Server::openSession(std::shared_ptr<FrontEnd::Connection> C) {
+  return std::make_unique<Session>(*this, std::move(C));
 }
 
-void Server::connectionLoop(Conn *C) {
-  int Fd = C->Fd;
-  std::shared_ptr<ConnState> St = C->State;
-  // Inline replies (control ops, rejects) share the fd with the writer
-  // thread; every frame goes out under WriteM.
-  auto writeInline = [&](json::Value R, const std::string &TraceId,
-                         const json::Value &Id) {
-    decorateResponse(R, TraceId, Id);
-    std::lock_guard<std::mutex> WL(St->WriteM);
-    if (St->WriteFailed.load(std::memory_order_relaxed))
-      return false;
-    if (!writeMessage(Fd, R)) {
-      St->WriteFailed.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  };
+json::Value Server::controlOp(const std::string &Op,
+                              const json::Value &Request) {
+  if (Op == "stats")
+    return statsJson();
+  if (Op == "metrics")
+    return metricsJson();
+  if (Op == "metrics_text")
+    return metricsTextJson(Request);
+  if (Op == "trace_dump")
+    return traceDumpJson();
+  return profileOpJson(Request);
+}
 
-  while (true) {
-    json::Value Request;
-    std::string Err;
-    FrameStatus FSt = readMessage(Fd, Request, Err);
-    if (FSt == FrameStatus::Closed || FSt == FrameStatus::Timeout)
-      break;
-    if (FSt == FrameStatus::Error) {
-      // Malformed JSON gets a reply; a broken frame/socket does not.
-      if (!Err.empty() && Err != "frame read failed") {
-        std::lock_guard<std::mutex> WL(St->WriteM);
-        writeMessage(Fd, errorResponse("bad request: " + Err));
-      }
-      break;
-    }
-    MRequestsReceived.inc();
-
-    std::string Op = Request.getString("op");
-    // Every response carries the request's trace_id (client-supplied, or
-    // generated here) so clients can correlate replies and server-side
-    // spans with their own traces.
-    std::string TraceId = Request.getString("trace_id");
-    if (TraceId.empty()) {
-      // One process-wide prefix; a getpid() syscall per request would be
-      // measurable against the ~15us warm-call round trip.
-      static const std::string PidPrefix = std::to_string(::getpid()) + "-";
-      TraceId = PidPrefix + std::to_string(NextTraceId.fetch_add(1));
-    }
-    json::Value Id;
-    if (const json::Value *IdV = Request.get("id"))
-      Id = *IdV;
-
-    // Version gate: a peer speaking another protocol revision gets a
-    // structured refusal it can render, instead of a response whose shape
-    // it may misread. Non-object requests fall through to dispatch's
-    // existing "must be a JSON object" answer.
-    if (Request.isObject()) {
-      const json::Value *V = Request.get("v");
-      int Got = (V && V->isNumber()) ? static_cast<int>(V->asNumber()) : 0;
-      if (Got != ProtocolVersion) {
-        json::Value R = errorResponseCode(
-            "protocol_mismatch",
-            "protocol version mismatch: server speaks v" +
-                std::to_string(ProtocolVersion) + ", request carried " +
-                (V ? "v" + std::to_string(Got) : std::string("no version")));
-        R.set("expected", json::Value::number(ProtocolVersion));
-        R.set("got", json::Value::number(Got));
-        if (!writeInline(std::move(R), TraceId, Id))
-          break;
-        continue;
-      }
-    }
-
-    // Control-plane ops skip the queue: stats/metrics must observe a
-    // saturated server, and shutdown must work when the queue is wedged.
-    if (Op == "stats") {
-      if (!writeInline(statsJson(), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "metrics") {
-      if (!writeInline(metricsJson(), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "metrics_text") {
-      if (!writeInline(metricsTextJson(Request), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "trace_dump") {
-      if (!writeInline(traceDumpJson(), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "profile") {
-      if (!writeInline(profileOpJson(Request), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "shutdown") {
-      json::Value R = json::Value::object();
-      R.set("ok", json::Value::boolean(true));
-      R.set("draining", json::Value::boolean(true));
-      writeInline(std::move(R), TraceId, Id);
-      requestShutdown();
-      continue; // Reader exits when drain half-closes the socket.
-    }
-
-    // Pipelining window: bound the per-connection backlog so one client
-    // cannot queue unbounded work (and memory) behind a single socket.
-    {
-      std::lock_guard<std::mutex> Lock(St->M);
-      if (St->Pending.size() >= Config.MaxInFlightPerConn) {
-        MRequestsRejected.inc();
-        json::Value R = errorResponseCode(
-            "overloaded", "too many in-flight requests on this connection");
-        if (!writeInline(std::move(R), TraceId, Id))
-          break;
-        continue;
-      }
-    }
-
-    auto J = std::make_shared<Job>();
-    J->Request = Request;
-    J->Op = Op;
-    J->TraceId = TraceId;
-    J->ParentSpan = Request.getString("parent_span");
-    J->Id = Id;
-    J->Owner = St;
-    J->TimeoutMs = Config.RequestTimeoutMs;
-    if (const json::Value *T = Request.get("timeout_ms"))
-      if (T->isNumber() && T->asNumber() >= 1)
-        J->TimeoutMs = static_cast<int>(T->asNumber());
-
-    if (!pushJob(J)) {
-      const char *Why = Draining ? "server shutting down"
-                                 : "server overloaded: request queue full";
+bool Server::submit(const std::shared_ptr<ConnState> &St,
+                    FrontEnd::Request &&R) {
+  // Pipelining window: bound the per-connection backlog so one client
+  // cannot queue unbounded work (and memory) behind a single socket.
+  {
+    std::lock_guard<std::mutex> Lock(St->M);
+    if (St->Pending.size() >= Config.MaxInFlightPerConn) {
       MRequestsRejected.inc();
-      logging::emit(logging::Level::Warn, "server.reject",
-                    {{"op", Op}, {"trace_id", TraceId}, {"why", Why}});
-      if (!writeInline(errorResponseCode("overloaded", Why), TraceId, Id))
-        break;
-      continue;
+      return St->Link->reply(
+          errorResponseCode("overloaded",
+                            "too many in-flight requests on this connection"),
+          R.TraceId, R.Id);
     }
-    {
-      std::lock_guard<std::mutex> Lock(St->M);
-      St->Pending.push_back(J);
-    }
-    St->CV.notify_all();
+  }
+
+  auto J = std::make_shared<Job>();
+  J->TimeoutMs = Config.RequestTimeoutMs;
+  if (const json::Value *T = R.Body.get("timeout_ms"))
+    if (T->isNumber() && T->asNumber() >= 1)
+      J->TimeoutMs = static_cast<int>(T->asNumber());
+  J->ParentSpan = R.Body.getString("parent_span");
+  J->Request = std::move(R.Body);
+  J->Op = std::move(R.Op);
+  J->TraceId = std::move(R.TraceId);
+  J->Id = std::move(R.Id);
+  J->Owner = St;
+
+  if (!pushJob(J)) {
+    const char *Why = FE.draining() ? "server shutting down"
+                                    : "server overloaded: request queue full";
+    MRequestsRejected.inc();
+    logging::emit(logging::Level::Warn, "server.reject",
+                  {{"op", J->Op}, {"trace_id", J->TraceId}, {"why", Why}});
+    return St->Link->reply(errorResponseCode("overloaded", Why), J->TraceId,
+                           J->Id);
   }
   {
     std::lock_guard<std::mutex> Lock(St->M);
-    St->ReaderDone = true;
+    St->Pending.push_back(J);
   }
   St->CV.notify_all();
-  C->ReaderFinished = true;
+  return true;
 }
 
 void Server::writerLoop(std::shared_ptr<ConnState> St) {
@@ -658,7 +399,7 @@ void Server::writerLoop(std::shared_ptr<ConnState> St) {
     if (!Ready) {
       if (St->ReaderDone && St->Pending.empty())
         break;
-      if (St->WriteFailed.load(std::memory_order_relaxed)) {
+      if (St->Link->closed()) {
         // Responses can no longer be delivered; abandon outstanding work
         // so workers skip it, and wait only for the reader to notice.
         for (auto &J : St->Pending) {
@@ -705,16 +446,7 @@ void Server::writerLoop(std::shared_ptr<ConnState> St) {
       if (!Response.getBool("ok"))
         MRequestsFailed.inc();
     }
-    decorateResponse(Response, Ready->TraceId, Ready->Id);
-    {
-      std::lock_guard<std::mutex> WL(St->WriteM);
-      if (!St->WriteFailed.load(std::memory_order_relaxed) &&
-          !writeMessage(St->Fd, Response)) {
-        St->WriteFailed.store(true, std::memory_order_relaxed);
-        // Wake the reader if it is blocked mid-poll on a half-dead peer.
-        ::shutdown(St->Fd, SHUT_RD);
-      }
-    }
+    St->Link->reply(std::move(Response), Ready->TraceId, Ready->Id);
     Lock.lock();
   }
 }
@@ -724,8 +456,6 @@ void Server::writerLoop(std::shared_ptr<ConnState> St) {
 //===----------------------------------------------------------------------===//
 
 json::Value Server::dispatch(const json::Value &Request) {
-  if (!Request.isObject())
-    return errorResponse("request must be a JSON object");
   std::string Op = Request.getString("op");
   if (Op == "compile")
     return handleCompile(Request);
@@ -1048,7 +778,7 @@ Server::Stats Server::stats() const {
   S.EngineRecreated = MEngineRecreated.value();
   S.QueueDepthHWM = static_cast<uint64_t>(MQueueDepthHwm.value());
   S.DrainedClean = MDrainedClean.value() != 0;
-  if (Started)
+  if (FE.started())
     S.UptimeSeconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - StartTime)
                           .count();
@@ -1110,29 +840,19 @@ json::Value Server::statsJson() {
   // native, and how many promotions are queued behind the compile worker.
   uint64_t Tier0 = 0, Promoted = 0, Backlog = 0;
   uint64_t CacheHits = 0, CacheMisses = 0;
-  {
-    std::vector<std::shared_ptr<EngineEntry>> Live;
-    {
-      std::lock_guard<std::mutex> Lock(EnginesMutex);
-      for (const auto &E : Engines)
-        Live.push_back(E.second);
+  for (const auto &[Hash, Entry] : readyEngines()) {
+    if (TierManager *TM = Entry->E->compiler().tierManager()) {
+      TierManager::Snapshot Snap = TM->snapshot();
+      Tier0 += Snap.Tier0Functions;
+      Promoted += Snap.PromotedFunctions;
+      Backlog += Snap.PromotionBacklog;
     }
-    for (const auto &Entry : Live)
-      if (Entry->Ready.load(std::memory_order_acquire)) {
-        if (TierManager *TM = Entry->E->compiler().tierManager()) {
-          TierManager::Snapshot Snap = TM->snapshot();
-          Tier0 += Snap.Tier0Functions;
-          Promoted += Snap.PromotedFunctions;
-          Backlog += Snap.PromotionBacklog;
-        }
-        // Disk-cache effectiveness summed across live engines: in a fleet
-        // sharing TERRACPP_CACHE_DIR, hits here on one shard for sources
-        // first compiled on another prove cross-shard artifact reuse.
-        telemetry::Registry &JitReg =
-            Entry->E->compiler().jit().metrics();
-        CacheHits += JitReg.counter("jit.cache.hits").value();
-        CacheMisses += JitReg.counter("jit.cache.misses").value();
-      }
+    // Disk-cache effectiveness summed across live engines: in a fleet
+    // sharing TERRACPP_CACHE_DIR, hits here on one shard for sources first
+    // compiled on another prove cross-shard artifact reuse.
+    telemetry::Registry &JitReg = Entry->E->compiler().jit().metrics();
+    CacheHits += JitReg.counter("jit.cache.hits").value();
+    CacheMisses += JitReg.counter("jit.cache.misses").value();
   }
   R.set("tier0_functions", N(Tier0));
   R.set("promoted_functions", N(Promoted));
@@ -1151,38 +871,30 @@ json::Value Server::metricsJson() {
   // Each ready engine's JIT registry, keyed by script handle. ExecMutex is
   // not needed: registries are internally thread-safe, and Ready entries
   // never lose their engine while we hold the shared_ptr.
-  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(EnginesMutex);
-    for (const auto &E : Engines)
-      Live.emplace_back(E.first, E.second);
-  }
   json::Value Jit = json::Value::object();
-  for (const auto &E : Live)
-    if (E.second->Ready.load(std::memory_order_acquire)) {
-      json::Value EngineJson =
-          E.second->E->compiler().jit().metrics().toJson();
-      // Tiered-execution snapshot for this engine (only present when the
-      // engine runs the auto tier policy).
-      if (TierManager *TM = E.second->E->compiler().tierManager()) {
-        TierManager::Snapshot Snap = TM->snapshot();
-        json::Value Tier = json::Value::object();
-        auto N = [](uint64_t V) {
-          return json::Value::number(static_cast<double>(V));
-        };
-        Tier.set("tier0_functions", N(Snap.Tier0Functions));
-        Tier.set("promoted_functions", N(Snap.PromotedFunctions));
-        Tier.set("promotion_backlog", N(Snap.PromotionBacklog));
-        Tier.set("promotions", N(Snap.Promotions));
-        Tier.set("promotion_failures", N(Snap.PromotionFailures));
-        Tier.set("tier0_calls", N(Snap.Tier0Calls));
-        Tier.set("tier1_calls", N(Snap.Tier1Calls));
-        Tier.set("baseline_calls", N(Snap.BaselineCalls));
-        Tier.set("cc_unavailable", N(Snap.CcUnavailable));
-        EngineJson.set("tier", std::move(Tier));
-      }
-      Jit.set(E.first, std::move(EngineJson));
+  for (const auto &[Hash, Entry] : readyEngines()) {
+    json::Value EngineJson = Entry->E->compiler().jit().metrics().toJson();
+    // Tiered-execution snapshot for this engine (only present when the
+    // engine runs the auto tier policy).
+    if (TierManager *TM = Entry->E->compiler().tierManager()) {
+      TierManager::Snapshot Snap = TM->snapshot();
+      json::Value Tier = json::Value::object();
+      auto N = [](uint64_t V) {
+        return json::Value::number(static_cast<double>(V));
+      };
+      Tier.set("tier0_functions", N(Snap.Tier0Functions));
+      Tier.set("promoted_functions", N(Snap.PromotedFunctions));
+      Tier.set("promotion_backlog", N(Snap.PromotionBacklog));
+      Tier.set("promotions", N(Snap.Promotions));
+      Tier.set("promotion_failures", N(Snap.PromotionFailures));
+      Tier.set("tier0_calls", N(Snap.Tier0Calls));
+      Tier.set("tier1_calls", N(Snap.Tier1Calls));
+      Tier.set("baseline_calls", N(Snap.BaselineCalls));
+      Tier.set("cc_unavailable", N(Snap.CcUnavailable));
+      EngineJson.set("tier", std::move(Tier));
     }
+    Jit.set(Hash, std::move(EngineJson));
+  }
   R.set("engines", std::move(Jit));
   return R;
 }
@@ -1212,31 +924,26 @@ json::Value Server::metricsTextJson(const json::Value &Request) {
         .set(static_cast<int64_t>(Queue.size() + InFlight));
   }
 
-  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>> Live;
   {
     std::lock_guard<std::mutex> Lock(EnginesMutex);
     Reg.gauge("server.engines_live").set(static_cast<int64_t>(Engines.size()));
-    Reg.gauge("server.engines_max")
-        .set(static_cast<int64_t>(Config.MaxEngines));
-    for (const auto &E : Engines)
-      Live.emplace_back(E.first, E.second);
   }
+  Reg.gauge("server.engines_max").set(static_cast<int64_t>(Config.MaxEngines));
 
   std::vector<std::string> Parts;
   Parts.push_back(telemetry::toPrometheusText(Reg, Labels));
   Parts.push_back(
       telemetry::toPrometheusText(telemetry::Registry::global(), Labels));
-  for (const auto &E : Live)
-    if (E.second->Ready.load(std::memory_order_acquire)) {
-      // Refresh the per-function profile gauges so the exposition carries
-      // current call/back-edge counts and resident tiers.
-      if (TierManager *TM = E.second->E->compiler().tierManager())
-        TM->profileJson();
-      std::vector<telemetry::PromLabel> EngineLabels = Labels;
-      EngineLabels.emplace_back("engine", E.first);
-      Parts.push_back(telemetry::toPrometheusText(
-          E.second->E->compiler().jit().metrics(), EngineLabels));
-    }
+  for (const auto &[Hash, Entry] : readyEngines()) {
+    // Refresh the per-function profile gauges so the exposition carries
+    // current call/back-edge counts and resident tiers.
+    if (TierManager *TM = Entry->E->compiler().tierManager())
+      TM->profileJson();
+    std::vector<telemetry::PromLabel> EngineLabels = Labels;
+    EngineLabels.emplace_back("engine", Hash);
+    Parts.push_back(telemetry::toPrometheusText(
+        Entry->E->compiler().jit().metrics(), EngineLabels));
+  }
 
   json::Value R = json::Value::object();
   R.set("ok", json::Value::boolean(true));
@@ -1247,28 +954,38 @@ json::Value Server::metricsTextJson(const json::Value &Request) {
 
 json::Value Server::profileOpJson(const json::Value &Request) {
   // Optional filter: profile only the engine behind one script handle.
-  std::string Filter = Request.getString("handle");
-  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(EnginesMutex);
-    for (const auto &E : Engines)
-      if (Filter.empty() || E.first == Filter)
-        Live.emplace_back(E.first, E.second);
-  }
   json::Value Components = json::Value::object();
-  for (const auto &E : Live)
-    if (E.second->Ready.load(std::memory_order_acquire))
-      if (TierManager *TM = E.second->E->compiler().tierManager()) {
-        json::Value P = TM->profileJson();
-        // Component hashes are content hashes of the generated C, so the
-        // same component surfacing via two engines merges cleanly (last
-        // writer wins; the counters refer to the same functions).
-        for (const auto &M : P.members())
-          Components.set(M.first, M.second);
-      }
+  for (const auto &[Hash, Entry] : readyEngines(Request.getString("handle")))
+    if (TierManager *TM = Entry->E->compiler().tierManager()) {
+      json::Value P = TM->profileJson();
+      // Component hashes are content hashes of the generated C, so the same
+      // component surfacing via two engines merges cleanly (last writer
+      // wins; the counters refer to the same functions).
+      for (const auto &M : P.members())
+        Components.set(M.first, M.second);
+    }
   json::Value R = json::Value::object();
   R.set("ok", json::Value::boolean(true));
   R.set("version", json::Value::number(1));
   R.set("components", std::move(Components));
   return R;
+}
+
+Server::LiveEngines Server::readyEngines(const std::string &Handle) const {
+  LiveEngines Live;
+  {
+    std::lock_guard<std::mutex> Lock(EnginesMutex);
+    for (const auto &E : Engines)
+      if (Handle.empty() || E.first == Handle)
+        Live.emplace_back(E.first, E.second);
+  }
+  // Readiness is atomic, so it is checked outside the lock: an engine still
+  // compiling is skipped without waiting behind it.
+  Live.erase(std::remove_if(Live.begin(), Live.end(),
+                            [](const auto &E) {
+                              return !E.second->Ready.load(
+                                  std::memory_order_acquire);
+                            }),
+             Live.end());
+  return Live;
 }

@@ -9,8 +9,10 @@
 //
 // Architecture (DESIGN.md §7):
 //
-//   accept loop ─▶ one reader thread per connection
-//                     │  readFrame / parse / validate / version check
+//   server::FrontEnd (FrontEnd.h, shared with the fleet router): accept
+//   loop, one reader thread per connection, frame read / trace id /
+//   version gate, control ops (stats, metrics, ...) answered inline
+//                     │  compile / compile_batch / call / ping
 //                     ▼
 //               bounded request queue          (backpressure: reject when
 //                     │                         full, never block readers)
@@ -33,15 +35,16 @@
 //
 // Each Engine is single-threaded, so one mutex per LRU entry serializes
 // calls into the same script while different scripts execute in parallel.
-// Shutdown (SIGTERM, SIGINT, or a "shutdown" request) drains: the queue
-// stops accepting, in-flight work completes and responses are flushed,
-// then connections are closed and the socket file removed.
+// Shutdown (SIGTERM, SIGINT, or a "shutdown" request) drains: the socket
+// stops listening, the queue stops accepting, in-flight work completes and
+// responses are flushed, then connections are closed.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef TERRACPP_SERVER_SERVER_H
 #define TERRACPP_SERVER_SERVER_H
 
+#include "server/FrontEnd.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
 
@@ -53,7 +56,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -79,13 +81,15 @@ struct ServerConfig {
   /// breakdown. 0 disables.
   int SlowRequestMs = 1000;
 
-  /// Fills unset fields from TERRAD_WORKERS / TERRAD_QUEUE /
-  /// TERRAD_MAX_ENGINES / TERRAD_TIMEOUT_MS / TERRAD_MAX_INFLIGHT /
-  /// TERRAD_SLOW_MS and clamps to sane ranges.
-  void resolveFromEnv();
+  /// The defaults above overridden by TERRAD_SOCKET / TERRAD_WORKERS /
+  /// TERRAD_QUEUE / TERRAD_MAX_ENGINES / TERRAD_TIMEOUT_MS /
+  /// TERRAD_MAX_INFLIGHT / TERRAD_SLOW_MS. A malformed or out-of-range
+  /// value keeps the default and warns once (support/EnvParse.h). terrad
+  /// applies its flags on top, so flags win over the environment.
+  static ServerConfig fromEnv();
 };
 
-class Server {
+class Server : private FrontEnd::Service {
 public:
   explicit Server(ServerConfig Config);
   ~Server();
@@ -98,20 +102,14 @@ public:
 
   /// Blocks until the server has fully shut down (signal, shutdown request,
   /// or requestShutdown()) and every in-flight request has drained.
-  void wait();
+  void wait() { FE.wait(); }
 
   /// Initiates a drain from any thread (idempotent, async-signal unsafe —
-  /// signal handlers should use installSignalHandlers() instead, which the
-  /// accept loop polls).
-  void requestShutdown();
+  /// signal handlers go through FrontEnd::installSignalHandlers()).
+  void requestShutdown() { FE.requestShutdown(); }
 
-  bool running() const { return Started && !ShutdownComplete; }
+  bool running() const { return FE.running(); }
   const ServerConfig &config() const { return Config; }
-
-  /// Installs SIGTERM/SIGINT handlers that set a process-global flag; every
-  /// running Server's accept loop polls it and drains. Call once from main.
-  static void installSignalHandlers();
-  static bool signalReceived();
 
   /// Monotonic counters, readable concurrently (also served as {"op":"stats"}).
   /// A point-in-time snapshot assembled from the server's telemetry registry
@@ -151,14 +149,22 @@ private:
   struct Job;
   struct EngineEntry;
   struct ConnState;
-  struct Conn;
+  struct Session;
+  using LiveEngines =
+      std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>>;
 
-  void acceptLoop();
-  void connectionLoop(Conn *C);
+  // FrontEnd::Service.
+  std::unique_ptr<FrontEnd::Session>
+  openSession(std::shared_ptr<FrontEnd::Connection> C) override;
+  json::Value controlOp(const std::string &Op,
+                        const json::Value &Request) override;
+  void drainWork() override;
+
+  /// Queues one data-plane request from \p St's reader, or answers it with
+  /// an "overloaded" refusal. False when the connection is gone.
+  bool submit(const std::shared_ptr<ConnState> &St, FrontEnd::Request &&R);
   void writerLoop(std::shared_ptr<ConnState> St);
   void workerLoop();
-  void beginDrain();
-  void finishShutdown();
 
   json::Value dispatch(const json::Value &Request);
   json::Value handleCompile(const json::Value &Request);
@@ -176,6 +182,9 @@ private:
   /// {"op":"profile"}: per-function execution profiles merged across live
   /// ready engines (optionally filtered to one "handle").
   json::Value profileOpJson(const json::Value &Request);
+  /// The live engines that finished compiling (only \p Handle's when
+  /// non-empty), snapshotted under EnginesMutex.
+  LiveEngines readyEngines(const std::string &Handle = "") const;
 
   /// Latency histogram for \p Op. Known ops get their own series; anything
   /// else buckets into server.op.other.latency_us so client-controlled op
@@ -196,18 +205,7 @@ private:
   std::shared_ptr<Job> popJob();
 
   ServerConfig Config;
-  int ListenFd = -1;
-  bool Started = false;
-
-  std::thread Acceptor;
   std::unique_ptr<ThreadPool> Workers;
-
-  // Connection registry: fds are shut down on drain to wake reader threads;
-  // finished readers are reaped by the accept loop so a long-running server
-  // does not accumulate dead threads.
-  std::mutex ConnMutex;
-  std::vector<std::unique_ptr<Conn>> Conns;
-  void reapConnections(bool Join);
 
   // Bounded request queue.
   std::mutex QueueMutex;
@@ -221,13 +219,7 @@ private:
   std::list<std::string> LruOrder;
   std::unordered_map<std::string, std::string> Sources; ///< hash -> script.
 
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> ShutdownComplete{false};
-  std::mutex ShutdownMutex;
-  std::condition_variable ShutdownCV;
-
   std::chrono::steady_clock::time_point StartTime{};
-  std::atomic<uint64_t> NextTraceId{1}; ///< For requests without a trace_id.
 
   /// Per-server metrics. Declared before the metric references below so the
   /// references can bind in the constructor initializer list.
@@ -255,6 +247,10 @@ private:
   telemetry::Histogram &MCallLatencyUs;
   telemetry::Histogram &MPingLatencyUs;
   telemetry::Histogram &MOtherLatencyUs;
+
+  /// Declared last: it counts into Reg, and its drain calls back into the
+  /// members above.
+  FrontEnd FE;
 };
 
 } // namespace server

@@ -58,6 +58,11 @@ uint64_t envcfg::parseUInt(const char *Name, uint64_t Default, uint64_t Min,
   return V;
 }
 
+std::string envcfg::parseString(const char *Name, const std::string &Default) {
+  const char *E = std::getenv(Name);
+  return E && *E ? std::string(E) : Default;
+}
+
 double envcfg::parsePositiveReal(const char *Name, double Default,
                                  double Max) {
   const char *E = std::getenv(Name);

@@ -13,6 +13,7 @@
 #define TERRACPP_SUPPORT_ENVPARSE_H
 
 #include <cstdint>
+#include <string>
 
 namespace terracpp {
 namespace envcfg {
@@ -27,6 +28,9 @@ uint64_t parseUInt(const char *Name, uint64_t Default, uint64_t Min = 0,
 /// A value that is not a clean finite decimal number, is not greater than
 /// zero, or exceeds \p Max returns \p Default and warns once per variable.
 double parsePositiveReal(const char *Name, double Default, double Max);
+
+/// Reads a string knob (a path). Unset or empty returns \p Default.
+std::string parseString(const char *Name, const std::string &Default);
 
 /// Reads a boolean knob: "1"/"true"/"on"/"yes" are true, "0"/"false"/"off"/
 /// "no" are false (case-insensitive). Unset returns \p Default; anything

@@ -13,8 +13,9 @@
 //     after it is restarted;
 //   * compile_batch — one frame fans an autotuner grid across the ring and
 //     reassembles results in submission order;
-//   * protocol version gate — v!=2 frames get a structured refusal and the
-//     connection stays usable.
+//   * the shared front end — terrad and the router answer the prologue,
+//     version gate and inline control ops identically, and one SIGTERM
+//     drains both.
 //
 // Shards are in-process Servers where possible (fast, deterministic) and
 // real terrad subprocesses (TERRACPP_TERRAD_BIN) where the test needs to
@@ -42,6 +43,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <memory>
+#include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -579,20 +581,35 @@ TEST(Fleet, MuxCloseFailsInFlightInsteadOfHanging) {
 // Protocol version gate (satellite: every frame carries "v")
 //===----------------------------------------------------------------------===//
 
-TEST(Fleet, ServerRejectsProtocolVersionMismatch) {
+/// The shared front end (server/FrontEnd.h) over both sockets clients can
+/// reach: a terrad shard ("terrad") and the router's front ("router"). One
+/// contract, one test.
+class FrontEndParity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FrontEndParity, PrologueGateAndControlOps) {
   FleetFixture F(1);
   ASSERT_TRUE(F.StartOK) << F.StartErr;
+  std::string Sock = GetParam() == "terrad" ? F.shardSocket(0) : F.front();
   std::string Err;
-  int Fd = server::connectUnix(F.shardSocket(0), Err);
+  int Fd = server::connectUnix(Sock, Err);
   ASSERT_GE(Fd, 0) << Err;
 
-  auto RoundTrip = [&](Value Req) {
-    EXPECT_TRUE(server::writeMessage(Fd, Req));
+  auto Read = [&] {
     Value Resp;
     std::string E;
     EXPECT_EQ(server::readMessage(Fd, Resp, E, 5000), server::FrameStatus::OK)
         << E;
     return Resp;
+  };
+  auto RoundTrip = [&](const Value &Req) {
+    EXPECT_TRUE(server::writeMessage(Fd, Req));
+    return Read();
+  };
+  auto ExpectAlive = [&] {
+    Value Ping = Value::object();
+    Ping.set("op", Value::string("ping"));
+    Ping.set("v", Value::number(server::ProtocolVersion));
+    EXPECT_TRUE(RoundTrip(Ping).getBool("ok"));
   };
 
   // Wrong version: structured refusal naming both sides' versions.
@@ -604,47 +621,86 @@ TEST(Fleet, ServerRejectsProtocolVersionMismatch) {
   EXPECT_EQ(Resp.getString("code"), "protocol_mismatch");
   EXPECT_EQ(Resp.getNumber("expected"), server::ProtocolVersion);
   EXPECT_EQ(Resp.getNumber("got"), 99.0);
-
   // Missing version: same gate (a v1 peer predates the "v" member).
   Req.remove("v");
   Resp = RoundTrip(Req);
-  EXPECT_FALSE(Resp.getBool("ok"));
   EXPECT_EQ(Resp.getString("code"), "protocol_mismatch");
+  EXPECT_EQ(Resp.getNumber("expected"), server::ProtocolVersion);
   EXPECT_EQ(Resp.getNumber("got"), 0.0);
+  ExpectAlive();
 
-  // The connection survives the refusal; a correct frame then works.
+  // A frame that parses but is not an object.
+  ASSERT_TRUE(server::writeFrame(Fd, "[1, 2]"));
+  Resp = Read();
+  EXPECT_FALSE(Resp.getBool("ok"));
+  EXPECT_EQ(Resp.getString("error"), "request must be a JSON object");
+  ExpectAlive();
+
+  // No trace_id: one is minted as "<pid>-N" (both ends run in-process).
   Req.set("v", Value::number(server::ProtocolVersion));
-  Resp = RoundTrip(Req);
-  EXPECT_TRUE(Resp.getBool("ok"));
+  std::string TraceId = RoundTrip(Req).getString("trace_id");
+  std::string Prefix = std::to_string(::getpid()) + "-";
+  ASSERT_EQ(TraceId.compare(0, Prefix.size(), Prefix), 0) << TraceId;
+  EXPECT_NE(TraceId.find_first_of("0123456789", Prefix.size()),
+            std::string::npos)
+      << TraceId;
+  EXPECT_EQ(TraceId.find_first_not_of("0123456789", Prefix.size()),
+            std::string::npos)
+      << TraceId;
+
+  // Inline control-op replies echo the client's id.
+  for (const char *Op : {"stats", "metrics"}) {
+    Value Ctl = Value::object();
+    Ctl.set("op", Value::string(Op));
+    Ctl.set("v", Value::number(server::ProtocolVersion));
+    Ctl.set("id", Value::number(7));
+    Resp = RoundTrip(Ctl);
+    EXPECT_TRUE(Resp.getBool("ok")) << Op;
+    EXPECT_EQ(Resp.getNumber("id"), 7.0) << Op;
+  }
+
+  // Malformed JSON: a "bad request" reply, then the connection closes.
+  ASSERT_TRUE(server::writeFrame(Fd, "this is not json"));
+  Resp = Read();
+  EXPECT_FALSE(Resp.getBool("ok"));
+  EXPECT_EQ(Resp.getString("error").rfind("bad request: ", 0), 0u)
+      << Resp.dump();
+  EXPECT_EQ(Resp.getNumber("v"), server::ProtocolVersion);
+  Value After;
+  std::string E;
+  EXPECT_EQ(server::readMessage(Fd, After, E, 5000),
+            server::FrameStatus::Closed);
   ::close(Fd);
 }
 
-TEST(Fleet, RouterRejectsProtocolVersionMismatch) {
-  FleetFixture F(2);
+INSTANTIATE_TEST_SUITE_P(Sockets, FrontEndParity,
+                         ::testing::Values("terrad", "router"),
+                         [](const auto &I) { return I.param; });
+
+TEST(Fleet, OneSigtermDrainsEveryFrontEndInTheProcess) {
+  FleetFixture F(1);
   ASSERT_TRUE(F.StartOK) << F.StartErr;
+  server::FrontEnd::installSignalHandlers();
+  ::raise(SIGTERM);
+  F.router().wait();
+  F.shard(0).wait();
+  EXPECT_FALSE(F.router().running());
+  EXPECT_FALSE(F.shard(0).running());
+  struct stat St;
+  EXPECT_NE(::stat(F.front().c_str(), &St), 0);
+  EXPECT_NE(::stat(F.shardSocket(0).c_str(), &St), 0);
+
+  // A front end started after the signal does not drain on it.
+  server::ServerConfig SC;
+  SC.SocketPath = F.Dir + "/late.sock";
+  SC.Workers = 1;
+  server::Server Late(SC);
   std::string Err;
-  int Fd = server::connectUnix(F.front(), Err);
-  ASSERT_GE(Fd, 0) << Err;
-
-  Value Req = Value::object();
-  Req.set("op", Value::string("ping"));
-  Req.set("v", Value::number(1));
-  ASSERT_TRUE(server::writeMessage(Fd, Req));
-  Value Resp;
-  std::string E;
-  ASSERT_EQ(server::readMessage(Fd, Resp, E, 5000), server::FrameStatus::OK)
-      << E;
-  EXPECT_FALSE(Resp.getBool("ok"));
-  EXPECT_EQ(Resp.getString("code"), "protocol_mismatch");
-  EXPECT_EQ(Resp.getNumber("expected"), server::ProtocolVersion);
-
-  Req.set("v", Value::number(server::ProtocolVersion));
-  ASSERT_TRUE(server::writeMessage(Fd, Req));
-  ASSERT_EQ(server::readMessage(Fd, Resp, E, 5000), server::FrameStatus::OK)
-      << E;
-  EXPECT_TRUE(Resp.getBool("ok"));
-  EXPECT_TRUE(Resp.getBool("fleet"));
-  ::close(Fd);
+  ASSERT_TRUE(Late.start(Err)) << Err;
+  server::Client C;
+  ASSERT_TRUE(C.connect(SC.SocketPath)) << C.error();
+  EXPECT_TRUE(C.ping());
+  EXPECT_TRUE(Late.running());
 }
 
 //===----------------------------------------------------------------------===//

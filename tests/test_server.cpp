@@ -10,7 +10,8 @@
 //   * engine-LRU eviction with transparent rebuild through the on-disk
 //     .so cache;
 //   * drain on SIGTERM and on a shutdown request: in-flight work completes,
-//     responses are flushed, the socket file is removed.
+//     responses are flushed, the socket file is removed;
+//   * configuration: TERRAD_* variables are validated, and flags win.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "server/Client.h"
 #include "server/Protocol.h"
 #include "server/Server.h"
+#include "support/Subprocess.h"
 #include "support/Trace.h"
 
 #include "ScopedEnv.h"
@@ -309,7 +311,7 @@ TEST(Terrad, ShutdownRequestDrains) {
 TEST(Terrad, SigtermDrainsInFlightWork) {
   ServerFixture F;
   ASSERT_TRUE(F.StartOK) << F.StartErr;
-  Server::installSignalHandlers();
+  FrontEnd::installSignalHandlers();
 
   // A request that is mid-execution when the signal lands must still get
   // its response: that is the "drain, don't drop" contract.
@@ -762,7 +764,7 @@ TEST(Terrad, SigtermDrainFlushesTraceFile) {
   ScopedTracing Tracing(Path); // File-backed, like TERRACPP_TRACE=PATH.
   ServerFixture F;
   ASSERT_TRUE(F.StartOK) << F.StartErr;
-  Server::installSignalHandlers();
+  FrontEnd::installSignalHandlers();
 
   {
     Client C = F.client();
@@ -795,5 +797,66 @@ TEST(Terrad, SigtermDrainFlushesTraceFile) {
       SawOp = true;
   EXPECT_TRUE(SawOp);
 }
+
+TEST(Terrad, ConfigFromEnvRejectsGarbageAndOutOfRange) {
+  {
+    // Clean values are taken as given, including SLOW_MS=0 (disabled).
+    ScopedEnv Socket("TERRAD_SOCKET", "/tmp/terrad-env-test.sock");
+    ScopedEnv Queue("TERRAD_QUEUE", "8");
+    ScopedEnv Slow("TERRAD_SLOW_MS", "0");
+    ServerConfig C = ServerConfig::fromEnv();
+    EXPECT_EQ(C.SocketPath, "/tmp/terrad-env-test.sock");
+    EXPECT_EQ(C.QueueCapacity, 8u);
+    EXPECT_EQ(C.SlowRequestMs, 0);
+  }
+  // Trailing garbage, signs and out-of-range values keep the defaults
+  // instead of being truncated ("8abc" used to run with 8).
+  ScopedEnv Queue("TERRAD_QUEUE", "8abc");
+  ScopedEnv Engines("TERRAD_MAX_ENGINES", "5000");
+  ScopedEnv Timeout("TERRAD_TIMEOUT_MS", "-5");
+  ScopedEnv InFlight("TERRAD_MAX_INFLIGHT", "0");
+  ScopedEnv Slow("TERRAD_SLOW_MS", "99999999999999999999");
+  ScopedEnv Workers("TERRAD_WORKERS", "129");
+  ServerConfig C = ServerConfig::fromEnv();
+  ServerConfig D;
+  EXPECT_EQ(C.QueueCapacity, D.QueueCapacity);
+  EXPECT_EQ(C.MaxEngines, D.MaxEngines);
+  EXPECT_EQ(C.RequestTimeoutMs, D.RequestTimeoutMs);
+  EXPECT_EQ(C.MaxInFlightPerConn, D.MaxInFlightPerConn);
+  EXPECT_EQ(C.SlowRequestMs, D.SlowRequestMs);
+  EXPECT_EQ(C.Workers, 0u); // Resolved to the core count by Server.
+}
+
+#ifdef TERRACPP_TERRAD_BIN
+TEST(Terrad, FlagsOverrideEnvironment) {
+  const char *Bin = TERRACPP_TERRAD_BIN;
+  if (::access(Bin, X_OK) != 0)
+    GTEST_SKIP() << "terrad binary not built: " << Bin;
+  char Template[] = "/tmp/terrad-flags-XXXXXX";
+  std::string Dir = mkdtemp(Template);
+  std::string Sock = Dir + "/terrad.sock";
+
+  DaemonProcess P;
+  std::string Err;
+  ASSERT_TRUE(P.spawn({Bin, "--socket", Sock, "--quiet", "--workers", "1",
+                       "--queue", "256", "--max-engines", "6"},
+                      {"TERRAD_QUEUE=8", "TERRAD_MAX_ENGINES=3",
+                       "TERRACPP_CACHE_DIR=" + Dir + "/cache"},
+                      Err))
+      << Err;
+  Client C;
+  Client::ConnectOptions CO;
+  CO.Attempts = 100;
+  ASSERT_TRUE(C.connect(Sock, CO)) << C.error();
+  Value S = C.stats();
+  ASSERT_TRUE(S.getBool("ok")) << C.error();
+  EXPECT_EQ(S.getNumber("queue_capacity"), 256.0);
+  EXPECT_EQ(S.getNumber("max_engines"), 6.0);
+  EXPECT_TRUE(C.shutdownServer());
+  EXPECT_EQ(P.waitExit(10000), 0);
+  std::string Cmd = "rm -rf " + Dir;
+  (void)!system(Cmd.c_str());
+}
+#endif // TERRACPP_TERRAD_BIN
 
 } // namespace

@@ -33,9 +33,12 @@ void usage() {
           "  --socket PATH      Unix socket to listen on\n"
           "                     (default $TERRAD_SOCKET or /tmp/terrad-$UID.sock)\n"
           "  --workers N        worker threads (default $TERRAD_WORKERS or cores)\n"
-          "  --queue N          bounded request-queue capacity (default 64)\n"
-          "  --max-engines N    live compiled-script LRU capacity (default 8)\n"
-          "  --timeout-ms N     per-request deadline (default 30000)\n"
+          "  --queue N          bounded request-queue capacity\n"
+          "                     (default $TERRAD_QUEUE or 64)\n"
+          "  --max-engines N    live compiled-script LRU capacity\n"
+          "                     (default $TERRAD_MAX_ENGINES or 8)\n"
+          "  --timeout-ms N     per-request deadline\n"
+          "                     (default $TERRAD_TIMEOUT_MS or 30000)\n"
           "  --slow-ms N        slow-request WARN threshold, 0 disables\n"
           "                     (default $TERRAD_SLOW_MS or 1000)\n"
           "  --log-level LEVEL  debug|info|warn|error|off\n"
@@ -56,7 +59,8 @@ bool parseUnsigned(const char *S, unsigned &Out) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  ServerConfig Config;
+  // Environment first, flags on top: a flag always wins over its variable.
+  ServerConfig Config = ServerConfig::fromEnv();
   bool Quiet = false;
   logging::configureFromEnv(); // TERRAD_LOG_{LEVEL,JSON}; flags override.
   for (int I = 1; I < Argc; ++I) {
@@ -106,7 +110,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  Server::installSignalHandlers();
+  FrontEnd::installSignalHandlers();
   Server S(Config);
   // Lane label in merged fleet traces; harmless when tracing is off.
   trace::Recorder::global().setProcessName("terrad " +

@@ -66,7 +66,8 @@ bool parseUnsigned(const char *S, unsigned &Out) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  RouterConfig Config;
+  // Environment first, flags on top: a flag always wins over its variable.
+  RouterConfig Config = RouterConfig::fromEnv();
   std::string ShardDir;
   unsigned SpawnCount = 0;
   bool Quiet = false;
@@ -154,12 +155,6 @@ int main(int Argc, char **Argv) {
     Config.Shards.push_back(SC);
   }
 
-  if (const char *Slow = getenv("TERRAFLEET_SLOW_MS")) {
-    char *End = nullptr;
-    long SlowN = strtol(Slow, &End, 10);
-    if (End && *End == '\0' && SlowN >= 0)
-      Config.SlowRequestMs = static_cast<int>(SlowN);
-  }
   if (!Config.TraceOutPath.empty()) {
     // Record router spans in memory (the merged file is the only output);
     // shards are spawned with TERRACPP_TRACE=- and pulled via trace_dump.
@@ -169,7 +164,7 @@ int main(int Argc, char **Argv) {
   trace::Recorder::global().setProcessName("terrafleet " +
                                            Config.FrontSocket);
 
-  Router::installSignalHandlers();
+  server::FrontEnd::installSignalHandlers();
   Router R(Config);
   std::string Err;
   if (!R.start(Err)) {
