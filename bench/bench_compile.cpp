@@ -27,14 +27,14 @@
 #include "support/Telemetry.h"
 #include "support/Timer.h"
 
-#include "BenchReport.h"
-
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 using namespace terracpp;
+using Json = json::Value;
 
 namespace {
 
@@ -220,11 +220,11 @@ void BM_LazyFirstCall(benchmark::State &State) {
 BENCHMARK(BM_LazyFirstCall)->Unit(benchmark::kMillisecond);
 
 /// One direct serial/batch/warm comparison, written to BENCH_compile.json.
-benchreport::Json measurePipeline() {
+Json measurePipeline() {
   constexpr int N = 16;
   std::string Src = functionFamily(N);
-  benchreport::Json Report;
-  Report.put("family_size", N);
+  Json Report = Json::object();
+  Report.set("family_size", Json::number(N));
 
   double SerialSeconds = 0, BatchSeconds = 0;
   {
@@ -232,7 +232,7 @@ benchreport::Json measurePipeline() {
     {
       Engine E;
       if (!E.run(Src))
-        return Report.put("error", std::string("run failed"));
+        return Report.set("error", Json::string("run failed"));
       std::vector<TerraFunction *> Fns = familyFunctions(E, N);
       Timer T;
       for (TerraFunction *F : Fns)
@@ -246,14 +246,15 @@ benchreport::Json measurePipeline() {
       Timer T;
       E.compileAll(Fns);
       BatchSeconds = T.seconds();
-      Report.put("compile_jobs", E.compiler().jit().compileJobs());
-      benchreport::addHostInfo(Report, E.compiler().jit().compileJobs());
+      Report.set("compile_jobs",
+                 Json::number(E.compiler().jit().compileJobs()));
+      telemetry::addHostInfo(Report, E.compiler().jit().compileJobs());
     }
   }
-  Report.put("serial_cold_seconds", SerialSeconds);
-  Report.put("batch_cold_seconds", BatchSeconds);
-  Report.put("parallel_speedup",
-             BatchSeconds > 0 ? SerialSeconds / BatchSeconds : 0.0);
+  Report.set("serial_cold_seconds", Json::number(SerialSeconds));
+  Report.set("batch_cold_seconds", Json::number(BatchSeconds));
+  Report.set("parallel_speedup",
+             Json::number(BatchSeconds > 0 ? SerialSeconds / BatchSeconds : 0));
 
   // Populate the cache, then measure a warm rerun in a fresh engine.
   {
@@ -269,12 +270,12 @@ benchreport::Json measurePipeline() {
     double WarmSeconds = T.seconds();
     JITEngine::Stats S = E.compiler().jit().stats();
     unsigned Lookups = S.CacheHits + S.CacheMisses;
-    Report.put("warm_seconds", WarmSeconds);
-    Report.put("warm_cache_hits", S.CacheHits);
-    Report.put("warm_cache_misses", S.CacheMisses);
-    Report.put("warm_hit_rate",
-               Lookups ? static_cast<double>(S.CacheHits) / Lookups : 0.0);
-    Report.put("warm_compiler_seconds", S.CompilerSeconds);
+    double HitRate = Lookups ? static_cast<double>(S.CacheHits) / Lookups : 0;
+    Report.set("warm_seconds", Json::number(WarmSeconds));
+    Report.set("warm_cache_hits", Json::number(S.CacheHits));
+    Report.set("warm_cache_misses", Json::number(S.CacheMisses));
+    Report.set("warm_hit_rate", Json::number(HitRate));
+    Report.set("warm_compiler_seconds", Json::number(S.CompilerSeconds));
   }
   return Report;
 }
@@ -282,13 +283,12 @@ benchreport::Json measurePipeline() {
 } // namespace
 
 int main(int argc, char **argv) {
-  benchreport::Json Report = measurePipeline();
+  Json Report = measurePipeline();
   // Process-wide telemetry snapshot (frontend phase latencies, thread-pool
   // queue waits) so a trajectory regression can be localized to a phase.
-  Report.putRaw("telemetry",
-                terracpp::telemetry::Registry::global().toJson().dump());
-  Report.writeTo("BENCH_compile.json");
-  fprintf(stderr, "BENCH_compile.json: %s\n", Report.str().c_str());
+  Report.set("telemetry", telemetry::Registry::global().toJson());
+  std::ofstream("BENCH_compile.json") << Report.dump() << "\n";
+  fprintf(stderr, "BENCH_compile.json: %s\n", Report.dump().c_str());
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))

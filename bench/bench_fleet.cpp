@@ -29,8 +29,6 @@
 #include "server/Server.h"
 #include "support/Trace.h"
 
-#include "BenchReport.h"
-
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -38,6 +36,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -325,13 +324,13 @@ BENCHMARK(BM_FleetFrontPing);
 } // namespace
 
 int main(int argc, char **argv) {
-  benchreport::Json Report;
-  Report.put("benchmark", std::string("fleet"));
+  Value Report = Value::object();
+  Report.set("benchmark", Value::string("fleet"));
 
   Fleet F;
   if (!F.start(3))
     return 1;
-  Report.put("shards", 3);
+  Report.set("shards", Value::number(3));
 
   // One warm kernel for the call-path comparison.
   std::string Handle, Fn = "fk777";
@@ -362,16 +361,16 @@ int main(int argc, char **argv) {
     constexpr int Count = 400;
     double BlockingRps = blockingPingRps(F.front(), DelayMs, Count);
     double PipelinedRps = pipelinedPingRps(F.front(), DelayMs, Count, Window);
-    benchreport::Json J;
-    J.put("requests", Count);
-    J.put("shard_service_latency_ms", DelayMs);
-    J.put("window", Window);
-    J.put("blocking_rps", BlockingRps);
-    J.put("pipelined_rps", PipelinedRps);
+    Value J = Value::object();
+    J.set("requests", Value::number(Count));
+    J.set("shard_service_latency_ms", Value::number(DelayMs));
+    J.set("window", Value::number(Window));
+    J.set("blocking_rps", Value::number(BlockingRps));
+    J.set("pipelined_rps", Value::number(PipelinedRps));
     double Speedup = BlockingRps > 0 ? PipelinedRps / BlockingRps : 0;
-    J.put("speedup", Speedup);
-    J.put("meets_2x", Speedup >= 2.0);
-    Report.put("pipelined_vs_blocking", J);
+    J.set("speedup", Value::number(Speedup));
+    J.set("meets_2x", Value::boolean(Speedup >= 2.0));
+    Report.set("pipelined_vs_blocking", std::move(J));
     fprintf(stderr, "pipelined %.0f rps vs blocking %.0f rps (%.2fx)\n",
             PipelinedRps, BlockingRps, Speedup);
   }
@@ -383,13 +382,14 @@ int main(int argc, char **argv) {
     double BlockingRps = blockingCallsRps(F.front(), Handle, Fn, Calls);
     double PipelinedRps =
         pipelinedCallsRps(F.front(), Handle, Fn, Calls, Window);
-    benchreport::Json J;
-    J.put("calls", Calls);
-    J.put("window", Window);
-    J.put("blocking_rps", BlockingRps);
-    J.put("pipelined_rps", PipelinedRps);
-    J.put("speedup", BlockingRps > 0 ? PipelinedRps / BlockingRps : 0.0);
-    Report.put("pipelined_vs_blocking_warm_call", J);
+    Value J = Value::object();
+    J.set("calls", Value::number(Calls));
+    J.set("window", Value::number(Window));
+    J.set("blocking_rps", Value::number(BlockingRps));
+    J.set("pipelined_rps", Value::number(PipelinedRps));
+    J.set("speedup",
+          Value::number(BlockingRps > 0 ? PipelinedRps / BlockingRps : 0));
+    Report.set("pipelined_vs_blocking_warm_call", std::move(J));
   }
 
   // Tracing overhead A/B: the same warm blocking calls with the recorder
@@ -403,14 +403,15 @@ int main(int argc, char **argv) {
     double TracedRps = blockingCallsRps(F.front(), Handle, Fn, Calls);
     trace::Recorder::global().disable();
     trace::Recorder::global().clear();
-    benchreport::Json J;
-    J.put("calls", Calls);
-    J.put("untraced_rps", UntracedRps);
-    J.put("traced_rps", TracedRps);
-    J.put("overhead_pct",
-          UntracedRps > 0 ? 100.0 * (UntracedRps - TracedRps) / UntracedRps
-                          : 0.0);
-    Report.put("tracing_overhead", J);
+    Value J = Value::object();
+    J.set("calls", Value::number(Calls));
+    J.set("untraced_rps", Value::number(UntracedRps));
+    J.set("traced_rps", Value::number(TracedRps));
+    J.set("overhead_pct",
+          Value::number(UntracedRps > 0
+                            ? 100.0 * (UntracedRps - TracedRps) / UntracedRps
+                            : 0));
+    Report.set("tracing_overhead", std::move(J));
     fprintf(stderr, "tracing A/B: untraced %.0f rps, traced %.0f rps\n",
             UntracedRps, TracedRps);
   }
@@ -425,13 +426,14 @@ int main(int argc, char **argv) {
     double SeqSeconds = sequentialCompileSeconds(F.front(), SeqSeeds);
     bool BatchOK = false;
     double BatchSeconds = batchCompileSeconds(F.front(), BatchSeeds, BatchOK);
-    benchreport::Json J;
-    J.put("grid_size", static_cast<unsigned>(SeqSeeds.size()));
-    J.put("sequential_seconds", SeqSeconds);
-    J.put("batch_seconds", BatchSeconds);
-    J.put("batch_all_ok", BatchOK);
-    J.put("speedup", BatchSeconds > 0 ? SeqSeconds / BatchSeconds : 0.0);
-    Report.put("compile_batch", J);
+    Value J = Value::object();
+    J.set("grid_size", Value::number(SeqSeeds.size()));
+    J.set("sequential_seconds", Value::number(SeqSeconds));
+    J.set("batch_seconds", Value::number(BatchSeconds));
+    J.set("batch_all_ok", Value::boolean(BatchOK));
+    J.set("speedup",
+          Value::number(BatchSeconds > 0 ? SeqSeconds / BatchSeconds : 0));
+    Report.set("compile_batch", std::move(J));
   }
 
   // Fleet-warm compile: cold on one shard, disk-cache hit on another shard
@@ -455,17 +457,18 @@ int main(int argc, char **argv) {
         OK = RB.OK && RB.Handle == RA.Handle;
       }
     }
-    benchreport::Json J;
-    J.put("ok", OK);
-    J.put("cold_compile_seconds", ColdSeconds);
-    J.put("fleet_warm_compile_seconds", WarmSeconds);
-    J.put("speedup", WarmSeconds > 0 ? ColdSeconds / WarmSeconds : 0.0);
-    Report.put("shared_cache", J);
+    Value J = Value::object();
+    J.set("ok", Value::boolean(OK));
+    J.set("cold_compile_seconds", Value::number(ColdSeconds));
+    J.set("fleet_warm_compile_seconds", Value::number(WarmSeconds));
+    J.set("speedup",
+          Value::number(WarmSeconds > 0 ? ColdSeconds / WarmSeconds : 0));
+    Report.set("shared_cache", std::move(J));
   }
 
   // Shard scaling: the same fresh grid against 1 shard and against 3 (the
   // main fleet). Single-core hosts should report ~1x here.
-  std::vector<benchreport::Json> Scaling;
+  Value Scaling = Value::array();
   {
     std::vector<int> Grid3;
     for (int I = 0; I != 6; ++I)
@@ -482,15 +485,15 @@ int main(int argc, char **argv) {
     }
     // F1.start switched TERRACPP_CACHE_DIR; point it back at the main fleet.
     setenv("TERRACPP_CACHE_DIR", (F.Dir + "/cache").c_str(), 1);
-    benchreport::Json One, Three;
-    One.put("shards", 1);
-    One.put("grid_seconds", Sec1);
-    Three.put("shards", 3);
-    Three.put("grid_seconds", Sec3);
-    Scaling.push_back(One);
-    Scaling.push_back(Three);
+    Value One = Value::object(), Three = Value::object();
+    One.set("shards", Value::number(1));
+    One.set("grid_seconds", Value::number(Sec1));
+    Three.set("shards", Value::number(3));
+    Three.set("grid_seconds", Value::number(Sec3));
+    Scaling.push(std::move(One));
+    Scaling.push(std::move(Three));
   }
-  Report.put("shard_scaling", Scaling);
+  Report.set("shard_scaling", std::move(Scaling));
 
   GFront = F.front();
   GHandle = Handle;
@@ -498,11 +501,11 @@ int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
-  Report.putRaw("fleet_telemetry", F.R->metrics().toJson().dump());
+  Report.set("fleet_telemetry", F.R->metrics().toJson());
   F.stop();
 
-  if (!Report.writeTo("BENCH_fleet.json"))
+  if (!(std::ofstream("BENCH_fleet.json") << Report.dump() << "\n"))
     fprintf(stderr, "cannot write BENCH_fleet.json\n");
-  fprintf(stderr, "BENCH_fleet.json: %s\n", Report.str().c_str());
+  fprintf(stderr, "BENCH_fleet.json: %s\n", Report.dump().c_str());
   return 0;
 }

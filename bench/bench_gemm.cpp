@@ -20,17 +20,17 @@
 #include "core/TerraType.h"
 #include "support/Telemetry.h"
 
-#include "BenchReport.h"
-
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <vector>
 
 using namespace terracpp;
 using namespace terracpp::autotuner;
+using Json = json::Value;
 
 namespace {
 
@@ -40,21 +40,21 @@ std::vector<std::pair<std::string, TuneResult>> &tuneLog() {
   return Log;
 }
 
-benchreport::Json tuneEntry(const std::string &Label, const TuneResult &R) {
-  benchreport::Json J;
+Json tuneEntry(const std::string &Label, const TuneResult &R) {
+  Json J = Json::object();
   unsigned Lookups = R.CacheHits + R.CacheMisses;
-  J.put("label", Label)
-      .put("candidates", R.Candidates)
-      .put("autotune_wall_seconds", R.SearchSeconds)
-      .put("compile_wall_seconds", R.CompileWallSeconds)
-      .put("compile_cpu_seconds", R.CompileCpuSeconds)
-      .put("compile_jobs", R.CompileJobs)
-      .put("cache_hits", R.CacheHits)
-      .put("cache_misses", R.CacheMisses)
-      .put("cache_hit_rate",
-           Lookups ? static_cast<double>(R.CacheHits) / Lookups : 0.0)
-      .put("best_gflops", R.BestGFlops)
-      .put("best_params", R.Best.str());
+  double HitRate = Lookups ? static_cast<double>(R.CacheHits) / Lookups : 0;
+  J.set("label", Json::string(Label))
+      .set("candidates", Json::number(R.Candidates))
+      .set("autotune_wall_seconds", Json::number(R.SearchSeconds))
+      .set("compile_wall_seconds", Json::number(R.CompileWallSeconds))
+      .set("compile_cpu_seconds", Json::number(R.CompileCpuSeconds))
+      .set("compile_jobs", Json::number(R.CompileJobs))
+      .set("cache_hits", Json::number(R.CacheHits))
+      .set("cache_misses", Json::number(R.CacheMisses))
+      .set("cache_hit_rate", Json::number(HitRate))
+      .set("best_gflops", Json::number(R.BestGFlops))
+      .set("best_params", Json::string(R.Best.str()));
   return J;
 }
 
@@ -240,12 +240,12 @@ void measureAutotunePipeline() {
 }
 
 void writeReport() {
-  benchreport::Json Report;
+  Json Report = Json::object();
   double SerialWall = 0, ParallelWall = 0, WarmWall = 0;
   unsigned PoolSize = 0;
-  std::vector<benchreport::Json> Entries;
+  Json Entries = Json::array();
   for (const auto &[Label, R] : tuneLog()) {
-    Entries.push_back(tuneEntry(Label, R));
+    Entries.push(tuneEntry(Label, R));
     if (Label == "dgemm_serial_baseline")
       SerialWall = R.SearchSeconds;
     else if (Label == "dgemm_parallel") {
@@ -254,19 +254,18 @@ void writeReport() {
     } else if (Label == "dgemm_warm_cache")
       WarmWall = R.SearchSeconds;
   }
-  benchreport::addHostInfo(Report, PoolSize);
-  Report.put("autotune_serial_wall_seconds", SerialWall)
-      .put("autotune_parallel_wall_seconds", ParallelWall)
-      .put("autotune_speedup_vs_serial",
-           ParallelWall > 0 ? SerialWall / ParallelWall : 0.0)
-      .put("autotune_warm_cache_wall_seconds", WarmWall)
-      .put("runs", Entries);
+  telemetry::addHostInfo(Report, PoolSize);
+  Report.set("autotune_serial_wall_seconds", Json::number(SerialWall))
+      .set("autotune_parallel_wall_seconds", Json::number(ParallelWall))
+      .set("autotune_speedup_vs_serial",
+           Json::number(ParallelWall > 0 ? SerialWall / ParallelWall : 0))
+      .set("autotune_warm_cache_wall_seconds", Json::number(WarmWall))
+      .set("runs", std::move(Entries));
   // Process-wide telemetry snapshot (frontend phases, autotuner variant
   // runs, thread-pool queue waits).
-  Report.putRaw("telemetry",
-                terracpp::telemetry::Registry::global().toJson().dump());
-  Report.writeTo("BENCH_gemm.json");
-  fprintf(stderr, "BENCH_gemm.json: %s\n", Report.str().c_str());
+  Report.set("telemetry", telemetry::Registry::global().toJson());
+  std::ofstream("BENCH_gemm.json") << Report.dump() << "\n";
+  fprintf(stderr, "BENCH_gemm.json: %s\n", Report.dump().c_str());
 }
 
 } // namespace

@@ -19,8 +19,7 @@
 
 #include "server/Client.h"
 #include "server/Server.h"
-
-#include "BenchReport.h"
+#include "support/Telemetry.h"
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +28,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -187,10 +187,10 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  benchreport::Json Report;
-  Report.put("benchmark", std::string("server"));
-  Report.put("workers", Config.Workers);
-  Report.put("queue_capacity", Config.QueueCapacity);
+  Value Report = Value::object();
+  Report.set("benchmark", Value::string("server"));
+  Report.set("workers", Value::number(Config.Workers));
+  Report.set("queue_capacity", Value::number(Config.QueueCapacity));
 
   // Cold compile vs warm call: the service's reason to exist.
   {
@@ -219,40 +219,39 @@ int main(int argc, char **argv) {
         CallUs.push_back((nowSeconds() - C0) * 1e6);
     }
     double WarmP50 = percentile(CallUs, 0.50);
-    Report.put("cold_compile_seconds", ColdSeconds);
-    Report.put("warm_call_p50_us", WarmP50);
-    Report.put("warm_call_p99_us", percentile(CallUs, 0.99));
-    Report.put("cold_over_warm", WarmP50 > 0
-                                     ? ColdSeconds * 1e6 / WarmP50
-                                     : 0.0);
+    Report.set("cold_compile_seconds", Value::number(ColdSeconds));
+    Report.set("warm_call_p50_us", Value::number(WarmP50));
+    Report.set("warm_call_p99_us", Value::number(percentile(CallUs, 0.99)));
+    Report.set("cold_over_warm",
+               Value::number(WarmP50 > 0 ? ColdSeconds * 1e6 / WarmP50 : 0));
   }
 
   // Concurrency sweep: 1..8 clients, zero dropped requests required.
-  std::vector<benchreport::Json> Rows;
+  Value Rows = Value::array();
   bool ZeroDropped = true;
   for (int Clients : {1, 2, 4, 8}) {
     SweepRow Row = runSweep(GSocket, Clients, 100);
     ZeroDropped &= Row.Requests > 0 && Row.Dropped == 0;
-    benchreport::Json J;
-    J.put("clients", Row.Clients);
-    J.put("requests", static_cast<unsigned>(Row.Requests));
-    J.put("dropped", static_cast<unsigned>(Row.Dropped));
-    J.put("seconds", Row.Seconds);
-    J.put("throughput_rps",
-          Row.Seconds > 0 ? Row.Requests / Row.Seconds : 0.0);
-    J.put("call_p50_us", Row.P50Us);
-    J.put("call_p99_us", Row.P99Us);
-    Rows.push_back(J);
+    Value J = Value::object();
+    J.set("clients", Value::number(Row.Clients));
+    J.set("requests", Value::number(Row.Requests));
+    J.set("dropped", Value::number(Row.Dropped));
+    J.set("seconds", Value::number(Row.Seconds));
+    J.set("throughput_rps",
+          Value::number(Row.Seconds > 0 ? Row.Requests / Row.Seconds : 0));
+    J.set("call_p50_us", Value::number(Row.P50Us));
+    J.set("call_p99_us", Value::number(Row.P99Us));
+    Rows.push(std::move(J));
   }
-  Report.put("sweep", Rows);
-  Report.put("zero_dropped", ZeroDropped);
+  Report.set("sweep", std::move(Rows));
+  Report.set("zero_dropped", Value::boolean(ZeroDropped));
 
   Server::Stats Stats = S.stats();
-  Report.put("requests_completed", static_cast<unsigned>(Stats.RequestsCompleted));
-  Report.put("requests_rejected", static_cast<unsigned>(Stats.RequestsRejected));
-  Report.put("requests_timed_out", static_cast<unsigned>(Stats.RequestsTimedOut));
-  Report.put("engines_created", static_cast<unsigned>(Stats.EnginesCreated));
-  Report.put("engines_evicted", static_cast<unsigned>(Stats.EnginesEvicted));
+  Report.set("requests_completed", Value::number(Stats.RequestsCompleted));
+  Report.set("requests_rejected", Value::number(Stats.RequestsRejected));
+  Report.set("requests_timed_out", Value::number(Stats.RequestsTimedOut));
+  Report.set("engines_created", Value::number(Stats.EnginesCreated));
+  Report.set("engines_evicted", Value::number(Stats.EnginesEvicted));
 
   // The google-benchmark section reuses the live server.
   benchmark::Initialize(&argc, argv);
@@ -261,16 +260,15 @@ int main(int argc, char **argv) {
   // Drain and record that shutdown completed cleanly.
   S.requestShutdown();
   S.wait();
-  Report.put("drained_clean", S.stats().DrainedClean);
+  Report.set("drained_clean", Value::boolean(S.stats().DrainedClean));
   // Full server telemetry (per-op latency histograms, queue waits) plus the
   // process-wide registry; the registries outlive the drain.
-  Report.putRaw("telemetry", S.metrics().toJson().dump());
-  Report.putRaw("process_telemetry",
-                terracpp::telemetry::Registry::global().toJson().dump());
+  Report.set("telemetry", S.metrics().toJson());
+  Report.set("process_telemetry", telemetry::Registry::global().toJson());
 
-  if (!Report.writeTo("BENCH_server.json"))
+  if (!(std::ofstream("BENCH_server.json") << Report.dump() << "\n"))
     fprintf(stderr, "cannot write BENCH_server.json\n");
-  fprintf(stderr, "BENCH_server.json: %s\n", Report.str().c_str());
+  fprintf(stderr, "BENCH_server.json: %s\n", Report.dump().c_str());
 
   std::string Cleanup = "rm -rf " + Dir;
   (void)!system(Cleanup.c_str());

@@ -6,11 +6,11 @@
 //      tree-walking evaluator, the tier-0 register-bytecode VM (target:
 //      >= 10x the tree-walker), and promoted native code.
 //   2. First-call latency — wall time from "script evaluated" to "first
-//      call returned" under tier 1 (blocks on the C compiler) vs tier auto
-//      (tier-0 VM answers immediately; target p50 <= 1ms cold), with both
-//      cold and warm content-addressed caches for tier 1.
-//   3. Promotion under load — a call loop against one hot function under
-//      tier auto: how many calls execute on tier 0 before the background
+//      call returned" on the native backend (blocks on the C compiler) vs
+//      the tiered one (tier 0 answers immediately; target p50 <= 1ms
+//      cold), with both cold and warm content-addressed caches for native.
+//   3. Promotion under load — a call loop against one hot function on the
+//      tiered backend: how many calls execute on tier 0 before the background
 //      native compile lands, and per-call cost before/after the switch
 //      (after == native parity).
 //
@@ -21,24 +21,25 @@
 
 #include "core/Engine.h"
 #include "core/TerraTier.h"
+#include "support/Telemetry.h"
 #include "support/Timer.h"
-
-#include "BenchReport.h"
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
 using namespace terracpp;
+using Json = json::Value;
 
 namespace {
 
-/// Scoped environment override (tier policy and thresholds are read at
-/// Engine construction).
+/// Scoped environment override (the interpreter and the tier thresholds
+/// are read at Engine construction).
 class ScopedEnv {
 public:
   ScopedEnv(const char *Name, const char *Value) : Name(Name) {
@@ -91,7 +92,7 @@ double callKernel(TerraFunction *F, int32_t N) {
 }
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 /// Mean seconds per call of `kern(N)` over \p Iters calls.
@@ -106,10 +107,10 @@ double timePerCall(TerraFunction *F, int32_t N, int Iters) {
 }
 
 /// Claim 1: per-tier throughput on the same kernel.
-void measureEngineTiers(benchreport::Json &Report) {
+void measureEngineTiers(Json &Report) {
   constexpr int32_t N = 20000;
   constexpr int Iters = 30;
-  benchreport::Json Tiers;
+  Json Tiers = Json::object();
 
   double TreeSec = 0, VMSec = 0, BaseSec = 0, BaseEmitUs = 0;
   {
@@ -121,7 +122,7 @@ void measureEngineTiers(benchreport::Json &Report) {
     TreeSec = timePerCall(F, N, std::max(Iters / 10, 3));
   }
   {
-    // Pin to the VM: with the baseline JIT enabled by default, an
+    // Pin to the VM: with the baseline JIT as the default interpreter, an
     // unconstrained Interp engine would measure tier 0.5, not tier 0.
     ScopedEnv Force("TERRACPP_INTERP", "vm");
     Engine E(BackendKind::Interp);
@@ -132,8 +133,7 @@ void measureEngineTiers(benchreport::Json &Report) {
   }
   {
     // Baseline JIT (tier 0.5): direct x86-64 emission from the bytecode.
-    ScopedEnv Force("TERRACPP_INTERP", nullptr);
-    ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+    ScopedEnv Force("TERRACPP_INTERP", "baseline");
     Engine E(BackendKind::Interp);
     E.run(kernelSource("kern", 1));
     TerraFunction *F = E.terraFunction("kern");
@@ -147,26 +147,29 @@ void measureEngineTiers(benchreport::Json &Report) {
                      .snapshot()
                      .Mean;
   }
-  Tiers.put("tree_walk_us_per_call", TreeSec * 1e6);
-  Tiers.put("tier0_vm_us_per_call", VMSec * 1e6);
-  Tiers.put("vm_speedup_vs_tree", VMSec > 0 ? TreeSec / VMSec : 0.0);
+  Tiers.set("tree_walk_us_per_call", Json::number(TreeSec * 1e6));
+  Tiers.set("tier0_vm_us_per_call", Json::number(VMSec * 1e6));
+  Tiers.set("vm_speedup_vs_tree",
+            Json::number(VMSec > 0 ? TreeSec / VMSec : 0));
   if (BaseSec > 0) {
-    Tiers.put("baseline_us_per_call", BaseSec * 1e6);
-    Tiers.put("baseline_speedup_vs_vm", VMSec / BaseSec);
-    Tiers.put("baseline_emit_us", BaseEmitUs);
+    Tiers.set("baseline_us_per_call", Json::number(BaseSec * 1e6));
+    Tiers.set("baseline_speedup_vs_vm", Json::number(VMSec / BaseSec));
+    Tiers.set("baseline_emit_us", Json::number(BaseEmitUs));
   }
   if (nativeAvailable()) {
-    Engine E;
+    Engine E(BackendKind::Native);
     E.run(kernelSource("kern", 1));
     TerraFunction *F = E.terraFunction("kern");
     E.compiler().ensureCompiled(F);
     double NativeSec = timePerCall(F, N, Iters * 10);
-    Tiers.put("native_us_per_call", NativeSec * 1e6);
-    Tiers.put("native_speedup_vs_vm", NativeSec > 0 ? VMSec / NativeSec : 0.0);
+    Tiers.set("native_us_per_call", Json::number(NativeSec * 1e6));
+    Tiers.set("native_speedup_vs_vm",
+              Json::number(NativeSec > 0 ? VMSec / NativeSec : 0));
     if (NativeSec > 0 && BaseSec > 0)
-      Tiers.put("baseline_slowdown_vs_native", BaseSec / NativeSec);
+      Tiers.set("baseline_slowdown_vs_native",
+                Json::number(BaseSec / NativeSec));
   }
-  Report.put("engine_tiers", Tiers);
+  Report.set("engine_tiers", std::move(Tiers));
 }
 
 double percentile(std::vector<double> V, double P) {
@@ -177,20 +180,19 @@ double percentile(std::vector<double> V, double P) {
   return V[std::min(I, V.size() - 1)];
 }
 
-/// Claim 2: definition-to-first-result latency per tier policy.
-void measureFirstCall(benchreport::Json &Report) {
+/// Claim 2: definition-to-first-result latency per backend.
+void measureFirstCall(Json &Report) {
   constexpr int Samples = 15;
-  benchreport::Json FirstCall;
+  Json FirstCall = Json::object();
 
-  auto sample = [](const char *TierEnv, int Salt, bool CacheOff) {
-    ScopedEnv Tier("TERRACPP_JIT_TIER", TierEnv);
+  auto sample = [](BackendKind BK, int Salt, bool CacheOff) {
     ScopedEnv Cache("TERRACPP_CACHE", CacheOff ? "off" : nullptr);
-    Engine E;
+    Engine E(BK);
     // Distinct body per sample: a cold run never hits the cc cache.
     E.run(kernelSource("kern", Salt));
     TerraFunction *F = E.terraFunction("kern");
     // The timed region is definition-to-first-result: typecheck + codegen
-    // + (tier 1) the blocking cc invocation, then the call itself.
+    // + (native) the blocking cc invocation, then the call itself.
     Timer T;
     E.compiler().ensureCompiled(F);
     callKernel(F, 10);
@@ -199,37 +201,39 @@ void measureFirstCall(benchreport::Json &Report) {
 
   std::vector<double> Auto, Tier1Cold, Tier1Warm;
   for (int I = 0; I != Samples; ++I)
-    Auto.push_back(sample("auto", 7000 + I, /*CacheOff=*/true));
-  FirstCall.put("auto_cold_p50_us", percentile(Auto, 0.5));
-  FirstCall.put("auto_cold_p95_us", percentile(Auto, 0.95));
+    Auto.push_back(sample(BackendKind::Tiered, 7000 + I, /*CacheOff=*/true));
+  FirstCall.set("auto_cold_p50_us", Json::number(percentile(Auto, 0.5)));
+  FirstCall.set("auto_cold_p95_us", Json::number(percentile(Auto, 0.95)));
   if (nativeAvailable()) {
+    const BackendKind Native = BackendKind::Native;
     for (int I = 0; I != Samples; ++I)
-      Tier1Cold.push_back(sample("1", 8000 + I, /*CacheOff=*/true));
+      Tier1Cold.push_back(sample(Native, 8000 + I, /*CacheOff=*/true));
     // Warm: same sources again, served from the content-addressed cache.
     for (int I = 0; I != Samples; ++I)
-      Tier1Warm.push_back(sample("1", 9000 + I, /*CacheOff=*/false));
+      Tier1Warm.push_back(sample(Native, 9000 + I, /*CacheOff=*/false));
     for (int I = 0; I != Samples; ++I)
       Tier1Warm[I] = std::min(Tier1Warm[I],
-                              sample("1", 9000 + I, /*CacheOff=*/false));
-    FirstCall.put("tier1_cold_p50_us", percentile(Tier1Cold, 0.5));
-    FirstCall.put("tier1_cold_p95_us", percentile(Tier1Cold, 0.95));
-    FirstCall.put("tier1_warm_p50_us", percentile(Tier1Warm, 0.5));
-    FirstCall.put("tier0_first_call_speedup_vs_tier1_cold",
-                  percentile(Auto, 0.5) > 0
-                      ? percentile(Tier1Cold, 0.5) / percentile(Auto, 0.5)
-                      : 0.0);
+                              sample(Native, 9000 + I, /*CacheOff=*/false));
+    double AutoP50 = percentile(Auto, 0.5);
+    double ColdP50 = percentile(Tier1Cold, 0.5);
+    FirstCall.set("tier1_cold_p50_us", Json::number(ColdP50));
+    FirstCall.set("tier1_cold_p95_us",
+                  Json::number(percentile(Tier1Cold, 0.95)));
+    FirstCall.set("tier1_warm_p50_us",
+                  Json::number(percentile(Tier1Warm, 0.5)));
+    FirstCall.set("tier0_first_call_speedup_vs_tier1_cold",
+                  Json::number(AutoP50 > 0 ? ColdP50 / AutoP50 : 0));
   }
-  Report.put("first_call_latency", FirstCall);
+  Report.set("first_call_latency", std::move(FirstCall));
 }
 
 /// Claim 3: the promotion-under-load curve.
-void measurePromotion(benchreport::Json &Report) {
+void measurePromotion(Json &Report) {
   if (!nativeAvailable())
     return;
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "8");
   ScopedEnv Cache("TERRACPP_CACHE", "off");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   E.run(kernelSource("kern", 424242));
   TerraFunction *F = E.terraFunction("kern");
   E.compiler().ensureCompiled(F);
@@ -253,23 +257,22 @@ void measurePromotion(benchreport::Json &Report) {
       Tier0Us.push_back(Us);
     }
   }
-  benchreport::Json Promo;
-  Promo.put("call_threshold", 8);
-  Promo.put("calls_on_tier0_before_switch", SwitchedAt);
-  Promo.put("wall_seconds_to_promotion", Wall.seconds());
-  Promo.put("tier0_p50_us", percentile(Tier0Us, 0.5));
-  Promo.put("tier1_p50_us", percentile(Tier1Us, 0.5));
-  Promo.put("speedup_after_promotion",
-            percentile(Tier1Us, 0.5) > 0
-                ? percentile(Tier0Us, 0.5) / percentile(Tier1Us, 0.5)
-                : 0.0);
+  Json Promo = Json::object();
+  Promo.set("call_threshold", Json::number(8));
+  Promo.set("calls_on_tier0_before_switch", Json::number(SwitchedAt));
+  Promo.set("wall_seconds_to_promotion", Json::number(Wall.seconds()));
+  Promo.set("tier0_p50_us", Json::number(percentile(Tier0Us, 0.5)));
+  Promo.set("tier1_p50_us", Json::number(percentile(Tier1Us, 0.5)));
+  Promo.set("speedup_after_promotion",
+            Json::number(percentile(Tier1Us, 0.5) > 0
+                          ? percentile(Tier0Us, 0.5) / percentile(Tier1Us, 0.5)
+                          : 0));
   if (TierManager *TM = E.compiler().tierManager()) {
     TierManager::Snapshot S = TM->snapshot();
-    Promo.put("promotions", static_cast<unsigned>(S.Promotions));
-    Promo.put("promotion_failures",
-              static_cast<unsigned>(S.PromotionFailures));
+    Promo.set("promotions", Json::number(S.Promotions));
+    Promo.set("promotion_failures", Json::number(S.PromotionFailures));
   }
-  Report.put("promotion_under_load", Promo);
+  Report.set("promotion_under_load", std::move(Promo));
 }
 
 //===----------------------------------------------------------------------===//
@@ -311,8 +314,7 @@ void BM_Tier0VM(benchmark::State &State) {
 BENCHMARK(BM_Tier0VM)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
 
 void BM_BaselineJIT(benchmark::State &State) {
-  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
-  runTierBenchmark(State, nullptr, BackendKind::Interp);
+  runTierBenchmark(State, "baseline", BackendKind::Interp);
 }
 BENCHMARK(BM_BaselineJIT)
     ->Arg(1000)
@@ -327,13 +329,13 @@ BENCHMARK(BM_Native)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
 } // namespace
 
 int main(int argc, char **argv) {
-  benchreport::Json Report;
-  benchreport::addHostInfo(Report);
+  Json Report = Json::object();
+  telemetry::addHostInfo(Report);
   measureEngineTiers(Report);
   measureFirstCall(Report);
   measurePromotion(Report);
-  Report.writeTo("BENCH_tiering.json");
-  fprintf(stderr, "BENCH_tiering.json: %s\n", Report.str().c_str());
+  std::ofstream("BENCH_tiering.json") << Report.dump() << "\n";
+  fprintf(stderr, "BENCH_tiering.json: %s\n", Report.dump().c_str());
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))

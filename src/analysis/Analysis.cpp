@@ -3,6 +3,7 @@
 #include "analysis/CallGraph.h"
 #include "core/TerraAST.h"
 #include "support/Diagnostics.h"
+#include "support/EnvParse.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
@@ -15,11 +16,7 @@ using namespace terracpp;
 using namespace terracpp::analysis;
 
 bool AnalyzeOptions::lintsEnabledFromEnv() {
-  const char *V = std::getenv("TERRACPP_ANALYZE");
-  if (!V)
-    return true;
-  return !(std::strcmp(V, "0") == 0 || std::strcmp(V, "off") == 0 ||
-           std::strcmp(V, "false") == 0);
+  return envcfg::parseBool("TERRACPP_ANALYZE", true);
 }
 
 namespace {

@@ -38,7 +38,8 @@ struct AnalyzeOptions {
   /// Report lint findings as errors instead of warnings.
   bool Werror = false;
 
-  /// Lints default on; TERRACPP_ANALYZE=0|off|false disables them.
+  /// Lints default on; TERRACPP_ANALYZE (any envcfg::parseBool false
+  /// spelling: 0/false/off/no) disables them.
   static bool lintsEnabledFromEnv();
 };
 

@@ -3,12 +3,12 @@
 #include "analysis/Analysis.h"
 #include "core/LuaStdlib.h"
 #include "core/Parser.h"
+#include "support/EnvParse.h"
 #include "support/Subprocess.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -17,36 +17,32 @@ using namespace terracpp::lua;
 
 /// True when a `cc` binary exists somewhere on PATH. Cached: the PATH scan
 /// happens once per process, and the answer feeds only the *default*
-/// backend choice (TERRACPP_BACKEND overrides it either way).
+/// backend choice.
 static bool ccOnPath() {
   static const bool Found = !findOnPath("cc").empty();
   return Found;
 }
 
 BackendKind Engine::defaultBackend() {
-  const char *Env = getenv("TERRACPP_BACKEND");
-  if (Env && std::string(Env) == "interp")
-    return BackendKind::Interp;
-  if (Env && std::string(Env) == "native")
-    return BackendKind::Native;
-  // TERRACPP_JIT_TIER=0 pins execution to tier 0 (bytecode VM, tree-walker
-  // fallback); "auto" resolves to Native + TierPolicy::Auto in the
-  // constructor via tierPolicyFromEnv().
-  const char *TierEnv = getenv("TERRACPP_JIT_TIER");
-  if (TierEnv && std::string(TierEnv) == "0")
-    return BackendKind::Interp;
-  // No C compiler installed: run on the compiler-free tiers (baseline JIT
-  // over the bytecode VM) instead of failing every first call.
-  if (!ccOnPath())
-    return BackendKind::Interp;
-  return BackendKind::Native;
+  // No C compiler installed: run on the compiler-free tiers instead of
+  // failing every first call. Choices are in BackendKind's order.
+  BackendKind Probe = ccOnPath() ? BackendKind::Native : BackendKind::Interp;
+  return static_cast<BackendKind>(
+      envcfg::parseChoice("TERRACPP_BACKEND", {"native", "tiered", "interp"},
+                          static_cast<size_t>(Probe)));
+}
+
+InterpKind Engine::defaultInterp() {
+  // Choices are in InterpKind's order.
+  return static_cast<InterpKind>(envcfg::parseChoice(
+      "TERRACPP_INTERP", {"baseline", "vm", "tree"},
+      static_cast<size_t>(InterpKind::Baseline)));
 }
 
 Engine::Engine(BackendKind Backend) : Diags(&SM) {
   TCtx = std::make_unique<TerraContext>(Diags);
   I = std::make_unique<Interp>(*TCtx, Diags);
-  Comp = std::make_unique<TerraCompiler>(*TCtx, *I, Backend,
-                                         tierPolicyFromEnv());
+  Comp = std::make_unique<TerraCompiler>(*TCtx, *I, Backend, defaultInterp());
   // Wire the interpreter to the compiler.
   TerraCompiler *CompP = Comp.get();
   I->hooks().Typecheck = [CompP](TerraFunction *F) {

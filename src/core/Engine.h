@@ -30,14 +30,20 @@ struct AnalysisReport;
 
 class Engine {
 public:
-  /// Backend defaults to Native; set the TERRACPP_BACKEND environment
-  /// variable to "interp" to run without a C compiler.
+  /// Execution is two choices, each resolved once. \p Backend says when cc
+  /// runs; an explicit argument is used as given. What runs code cc has not
+  /// compiled always comes from defaultInterp().
   explicit Engine(BackendKind Backend = defaultBackend());
   ~Engine();
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
 
+  /// TERRACPP_BACKEND={native,tiered,interp}. Unset (or invalid, with a
+  /// one-time warning): Native when a cc is on PATH, else Interp.
   static BackendKind defaultBackend();
+  /// TERRACPP_INTERP={baseline,vm,tree}. Unset (or invalid, with a
+  /// one-time warning): Baseline.
+  static InterpKind defaultInterp();
 
   /// Parses and runs a combined Lua/Terra chunk. False on error (see
   /// errors()).

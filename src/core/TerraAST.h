@@ -502,7 +502,7 @@ struct Function;
 } // namespace bytecode
 
 /// Per-function tiered-execution profile (TerraTier.h). Present only when
-/// the compiler runs with TierPolicy::Auto.
+/// the compiler runs with BackendKind::Tiered.
 struct TierState;
 
 /// A Terra function: declaration, definition, typechecking state, and
@@ -570,7 +570,7 @@ public:
   /// the same bytecode store the same value.
   std::atomic<uint32_t> BaselineStackBytes{0};
   /// Tiered-execution state: call/back-edge counters and the atomically
-  /// patched native entry. Null outside TierPolicy::Auto.
+  /// patched native entry. Null outside BackendKind::Tiered.
   std::shared_ptr<TierState> Tier;
 
   /// Static analysis (terracheck) has run over the typechecked body; the

@@ -25,7 +25,6 @@
 #include "core/TerraCompiler.h"
 #include "core/TerraType.h"
 #include "core/TerraVM.h"
-#include "support/EnvParse.h"
 #include "support/Telemetry.h"
 
 #include <cstring>
@@ -1009,10 +1008,6 @@ bool BaselineJIT::supported() {
 #else
   return false;
 #endif
-}
-
-bool BaselineJIT::enabledFromEnv() {
-  return envcfg::parseBool("TERRACPP_JIT_BASELINE", true);
 }
 
 bool BaselineJIT::emitBytesForTest(const TerraFunction *F,

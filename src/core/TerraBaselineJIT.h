@@ -69,9 +69,6 @@ public:
   /// True iff the host architecture is supported (x86-64 only).
   static bool supported();
 
-  /// TERRACPP_JIT_BASELINE knob (validated; default on).
-  static bool enabledFromEnv();
-
   /// Emits baseline code for \p F's bytecode into \p Out without publishing
   /// executable pages. Returns false when \p F has no bytecode or the
   /// emitter bails. Tests use this to assert properties of the exact

@@ -6,7 +6,6 @@
 #include "core/TerraBaselineJIT.h"
 #include "core/TerraBytecode.h"
 #include "core/TerraInterpBackend.h"
-#include "core/TerraVM.h"
 #include "core/TerraPasses.h"
 #include "core/TerraType.h"
 #include "support/Telemetry.h"
@@ -38,27 +37,17 @@ extern "C" void terracpp_hostcall_trampoline(void *Ctx, uint64_t ClosureId,
 //===----------------------------------------------------------------------===//
 
 TerraCompiler::TerraCompiler(TerraContext &Ctx, Interp &I, BackendKind Backend,
-                             TierPolicy Tier)
-    : Ctx(Ctx), I(I), Backend(Backend), Tier(Tier), TC(Ctx, I),
+                             InterpKind Interpreter)
+    : Ctx(Ctx), I(I), Backend(Backend), Interpreter(Interpreter), TC(Ctx, I),
       JIT(Ctx.diags()),
       AnalyzeLints(analysis::AnalyzeOptions::lintsEnabledFromEnv()) {
-  if (Backend == BackendKind::Native && Tier == TierPolicy::Auto)
+  if (Backend == BackendKind::Native)
+    return;
+  if (Backend == BackendKind::Tiered)
     Tiers = std::make_unique<TierManager>(JIT);
-  if (Backend == BackendKind::Interp || Tiers)
-    InterpBackend = std::make_unique<TerraInterpBackend>(Ctx, *this);
-  // Baseline JIT (tier 0.5): on by default wherever bytecode runs, off when
-  // the user forces a specific interpreter engine (TERRACPP_INTERP=vm/tree),
-  // pins tier 0 (TERRACPP_JIT_TIER=0), or disables it outright.
-  if (InterpBackend && BaselineJIT::supported() &&
-      BaselineJIT::enabledFromEnv()) {
-    const char *IM = std::getenv("TERRACPP_INTERP");
-    const char *JT = std::getenv("TERRACPP_JIT_TIER");
-    bool ForcedInterp =
-        IM && *IM && (std::string(IM) == "vm" || std::string(IM) == "tree");
-    bool PinnedTier0 = JT && std::string(JT) == "0";
-    if (!ForcedInterp && !PinnedTier0)
-      Baseline = std::make_unique<BaselineJIT>(JIT.metrics());
-  }
+  InterpBackend = std::make_unique<TerraInterpBackend>(Ctx, *this, Interpreter);
+  if (Interpreter == InterpKind::Baseline && BaselineJIT::supported())
+    Baseline = std::make_unique<BaselineJIT>(JIT.metrics());
 }
 
 bool TerraCompiler::analyzeComponent(
@@ -78,7 +67,7 @@ TerraCompiler::~TerraCompiler() = default;
 
 void TerraCompiler::collectComponent(TerraFunction *F,
                                      std::vector<TerraFunction *> &Component) {
-  // Under Auto, a tier-0 function (Entry installed, no native address yet)
+  // Under Tiered, a tier-0 function (Entry installed, no native address yet)
   // must be re-emitted into dependent modules; only a real RawPtr can be
   // baked as a callee address.
   bool AlreadyUsable = Tiers ? F->RawPtr != nullptr : F->isCompiled();
@@ -178,34 +167,15 @@ void TerraCompiler::installTier0(std::string Source, bool Cacheable,
       // entry implies the dlopen'd code behind it is fully visible.
       if (void *NE = TS->NativeEntry.load(std::memory_order_acquire)) {
         Self->LastCallTier.store(1, std::memory_order_relaxed);
-        Self->Tiers->noteTier1Call();
+        Self->Tiers->noteCall(*TS, 1);
         reinterpret_cast<void (*)(void **, void *)>(NE)(Args, Ret);
         return;
       }
-      // Tier 0.5: baseline machine code from the first dispatch on. Still
-      // counts as a pre-native call so promotion thresholds keep firing.
-      if (Self->Baseline) {
-        if (BaselineJIT::Fn BE = Self->Baseline->entryFor(FnP)) {
-          Self->LastCallTier.store(2, std::memory_order_relaxed);
-          Self->Tiers->noteBaselineCall(*TS);
-          vm::ExecEnv Env(Self->Ctx, *Self);
-          // Recursion through tiered callees re-enters this thunk with a
-          // fresh Env each hop; the thread-shared depth scope is what
-          // bounds the native stack those baseline frames grow.
-          vm::CallDepthScope DepthScope(BaselineJIT::depthUnits(FnP));
-          if (DepthScope.exceeded()) {
-            vm::failStackOverflow(Env);
-            return;
-          }
-          uint64_t Edges = BE(Args, Ret, &Env);
-          Self->Tiers->noteBackEdges(*TS, Edges + Env.BackEdges);
-          return;
-        }
-      }
-      Self->LastCallTier.store(0, std::memory_order_relaxed);
-      Self->Tiers->noteTier0Call(*TS);
+      // Baseline code or the VM: either way a pre-native call, so the
+      // promotion thresholds keep firing.
       uint64_t BackEdges = 0;
-      Self->InterpBackend->execute(FnP, Args, Ret, &BackEdges);
+      int Tier = Self->InterpBackend->execute(FnP, Args, Ret, &BackEdges);
+      Self->Tiers->noteCall(*TS, Tier);
       Self->Tiers->noteBackEdges(*TS, BackEdges);
     };
   }
@@ -256,8 +226,8 @@ void *TerraCompiler::nativePointer(TerraFunction *F) {
 }
 
 bool TerraCompiler::compileAll(const std::vector<TerraFunction *> &Roots) {
-  if (Backend == BackendKind::Interp || Tiers) {
-    // Interp: nothing to batch. Auto: ensureCompiled is already cheap (no
+  if (Backend != BackendKind::Native) {
+    // Interp: nothing to batch. Tiered: ensureCompiled is already cheap (no
     // C compiler on the critical path); promotion parallelism happens in
     // the background worker instead of an addModules batch.
     bool AllOK = true;
@@ -605,8 +575,8 @@ bool TerraCompiler::callFromHost(TerraFunction *F, std::vector<Value> &Args,
   uintptr_t RP = reinterpret_cast<uintptr_t>(RetSlot.data());
   void *Ret = reinterpret_cast<void *>((RP + 31) & ~static_cast<uintptr_t>(31));
 
-  // Under Auto the tiered dispatcher overwrites this with the tier it
-  // actually took; otherwise the backend choice is the tier.
+  // The tiered dispatcher and TerraInterpBackend::execute overwrite this
+  // with the tier they actually took.
   LastCallTier.store(Backend == BackendKind::Interp ? 0 : 1,
                      std::memory_order_relaxed);
   // A runtime trap on the interpreted tiers (division by zero, nil deref)

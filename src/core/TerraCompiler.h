@@ -27,31 +27,39 @@ namespace terracpp {
 class TerraInterpBackend;
 class BaselineJIT;
 
-/// Which execution engine runs compiled Terra code.
+/// When cc compiles Terra code (CBackend -> system cc -> dlopen).
 enum class BackendKind {
-  Native, ///< CBackend -> system cc -> dlopen (default).
-  Interp, ///< Tree-walking evaluator (no C compiler required).
+  Native, ///< At each component's first call.
+  Tiered, ///< In the background: code starts on the interpreter and hot
+          ///< components are promoted to native code.
+  Interp, ///< Never: no C compiler required.
+};
+
+/// What runs code cc has not compiled. Each engine falls back to the next
+/// one for constructs it does not handle.
+enum class InterpKind {
+  Baseline, ///< Baseline x86-64 JIT over the bytecode VM.
+  VM,       ///< Register-bytecode VM.
+  Tree,     ///< Tree-walking evaluator (the differential-test reference).
 };
 
 class TerraCompiler {
 public:
   TerraCompiler(TerraContext &Ctx, lua::Interp &I,
                 BackendKind Backend = BackendKind::Native,
-                TierPolicy Tier = TierPolicy::Tier1);
+                InterpKind Interpreter = InterpKind::Baseline);
   ~TerraCompiler();
 
   Typechecker &typechecker() { return TC; }
   JITEngine &jit() { return JIT; }
   BackendKind backend() const { return Backend; }
-  TierPolicy tierPolicy() const { return Tier; }
+  InterpKind interpKind() const { return Interpreter; }
 
-  /// The tier-promotion manager; null unless running under
-  /// TierPolicy::Auto with the native backend.
+  /// The tier-promotion manager; null unless the backend is Tiered.
   TierManager *tierManager() { return Tiers.get(); }
 
-  /// The baseline JIT (tier 0.5); null when disabled
-  /// (TERRACPP_JIT_BASELINE=0, TERRACPP_INTERP forced to vm/tree,
-  /// TERRACPP_JIT_TIER=0, unsupported architecture, or pure-native mode).
+  /// The baseline JIT (tier 0.5); null unless the interpreter is Baseline
+  /// on a supported architecture and the backend is not Native.
   BaselineJIT *baseline() { return Baseline.get(); }
 
   /// The tier (0 = interpreted/VM, 2 = baseline JIT, 1 = cc-native) that
@@ -62,8 +70,7 @@ public:
     return LastCallTier.load(std::memory_order_relaxed);
   }
 
-  /// Records which tier ran a dispatch (TerraInterpBackend uses this when
-  /// it routes through the baseline JIT outside tiered mode).
+  /// Records which tier ran a dispatch (TerraInterpBackend::execute).
   void noteLastCallTier(int T) {
     LastCallTier.store(T, std::memory_order_relaxed);
   }
@@ -77,13 +84,13 @@ public:
   bool analyzeWerror() const { return AnalyzeWerror; }
 
   /// Typechecks, optimizes, and compiles F (and its connected component).
-  /// Under TierPolicy::Auto "compiled" means runnable: the function gets a
-  /// tier-0 dispatcher entry immediately and native code arrives in the
+  /// Under BackendKind::Tiered "compiled" means runnable: the function gets
+  /// a tier-0 dispatcher entry immediately and native code arrives in the
   /// background. Idempotent; false on failure.
   bool ensureCompiled(TerraFunction *F);
 
   /// Returns \p F's native machine-code address, compiling synchronously if
-  /// needed (under TierPolicy::Auto this forces promotion of the
+  /// needed (under BackendKind::Tiered this forces promotion of the
   /// function's component, waiting for an in-flight background job). Null
   /// on failure. This is what function-pointer marshalling and
   /// Engine::rawPointer use — native code must never receive a tier-0
@@ -91,7 +98,7 @@ public:
   void *nativePointer(TerraFunction *F);
 
   /// Reverse of nativePointer: maps a machine address it returned back to
-  /// the function; null for unknown addresses. Under TierPolicy::Auto
+  /// the function; null for unknown addresses. Under BackendKind::Tiered
   /// materialized function values are machine addresses everywhere (so
   /// native code can call the same bits), and the tier-0 engines use this
   /// to dispatch indirect calls through them.
@@ -157,7 +164,7 @@ public:
 
 private:
   /// Collects the not-yet-compiled connected component rooted at F. Under
-  /// TierPolicy::Auto membership is keyed on RawPtr rather than
+  /// BackendKind::Tiered membership is keyed on RawPtr rather than
   /// isCompiled(): a tier-0 function has an Entry but no native address, so
   /// dependent modules must re-emit its definition (benign under
   /// RTLD_LOCAL) instead of baking an address that does not exist.
@@ -166,14 +173,15 @@ private:
 
   /// Tier-0 installation for a freshly generated component: parks the C
   /// source with the TierManager, compiles each function to bytecode, and
-  /// installs the tiered dispatcher Entry.
+  /// installs the tiered dispatcher Entry (native code once promoted,
+  /// TerraInterpBackend::execute before).
   void installTier0(std::string Source, bool Cacheable,
                     const std::vector<TerraFunction *> &Component);
 
   TerraContext &Ctx;
   lua::Interp &I;
   BackendKind Backend;
-  TierPolicy Tier;
+  InterpKind Interpreter;
   Typechecker TC;
   JITEngine JIT;
   /// Declared after JIT: destroyed first, joining the promotion worker

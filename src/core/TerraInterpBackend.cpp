@@ -915,63 +915,55 @@ bool TEval::dispatchExtern(const TerraFunction *F, void **Args,
 //===----------------------------------------------------------------------===//
 
 TerraInterpBackend::TerraInterpBackend(TerraContext &Ctx,
-                                       TerraCompiler &Compiler)
-    : Ctx(Ctx), Compiler(Compiler),
+                                       TerraCompiler &Compiler, InterpKind Kind)
+    : Ctx(Ctx), Compiler(Compiler), ForceTree(Kind == InterpKind::Tree),
       MDispatchUs(Compiler.jit().metrics().histogram("vm.dispatch_us")),
-      MBackEdges(Compiler.jit().metrics().counter("vm.backedges")) {
-  const char *E = std::getenv("TERRACPP_INTERP");
-  ForceTree = E && std::string(E) == "tree";
-}
+      MBackEdges(Compiler.jit().metrics().counter("vm.backedges")) {}
 
-bool TerraInterpBackend::execute(const TerraFunction *F, void **Args,
-                                 void *Ret, uint64_t *BackEdges) {
+int TerraInterpBackend::execute(const TerraFunction *F, void **Args, void *Ret,
+                                uint64_t *BackEdges) {
   if (BackEdges)
     *BackEdges = 0;
-  // Host closures carry no Body; the engines below would have nothing to
-  // run. (Reached when a closure lands in a tiered component.)
-  if (F->HostClosure)
-    return Compiler.invokeHostClosure(F->HostClosureId, Args, Ret);
-  if (!ForceTree && F->Bytecode) {
-    // Tier 0.5: baseline machine code when available; same ExecEnv
-    // contract, same telemetry stream as the VM.
-    if (BaselineJIT *BJ = Compiler.baseline()) {
-      if (BaselineJIT::Fn Entry = BJ->entryFor(const_cast<TerraFunction *>(F))) {
-        vm::ExecEnv Env(Ctx, Compiler);
-        // The emitted frame lives on the native stack: charge the shared
-        // depth budget before entering machine code.
-        vm::CallDepthScope DepthScope(BaselineJIT::depthUnits(F));
-        if (DepthScope.exceeded())
-          return vm::failStackOverflow(Env);
-        uint64_t Edges;
-        {
-          telemetry::ScopedTimerUs T(MDispatchUs);
-          Edges = Entry(Args, Ret, &Env);
-        }
-        Edges += Env.BackEdges;
-        if (Edges) {
-          MBackEdges.inc(Edges);
-          if (BackEdges)
-            *BackEdges = Edges;
-        }
-        Compiler.noteLastCallTier(2);
-        return !Env.Failed;
-      }
-    }
+  int Tier = 0;
+  if (F->HostClosure) {
+    // Host closures carry no Body; the engines below would have nothing to
+    // run. (Reached when a closure lands in a tiered component.)
+    Compiler.invokeHostClosure(F->HostClosureId, Args, Ret);
+  } else if (ForceTree || !F->Bytecode) {
+    TEval Eval(Ctx, Compiler);
+    Eval.runFunction(F, Args, Ret);
+  } else {
+    // Baseline machine code when available; same ExecEnv contract, same
+    // telemetry stream as the VM.
+    BaselineJIT::Fn Entry = nullptr;
+    if (BaselineJIT *BJ = Compiler.baseline())
+      Entry = BJ->entryFor(const_cast<TerraFunction *>(F));
     vm::ExecEnv Env(Ctx, Compiler);
-    bool OK;
-    {
+    if (Entry) {
+      Tier = 2;
+      // The emitted frame lives on the native stack: charge the shared
+      // depth budget before entering machine code. Recursion through
+      // dispatcher entries comes back here with a fresh Env each hop; this
+      // thread-shared scope is what bounds the stack those frames grow.
+      vm::CallDepthScope DepthScope(BaselineJIT::depthUnits(F));
+      if (DepthScope.exceeded()) {
+        vm::failStackOverflow(Env);
+      } else {
+        telemetry::ScopedTimerUs T(MDispatchUs);
+        Env.BackEdges += Entry(Args, Ret, &Env);
+      }
+    } else {
       telemetry::ScopedTimerUs T(MDispatchUs);
-      OK = vm::run(*F->Bytecode, Args, Ret, Env);
+      vm::run(*F->Bytecode, Args, Ret, Env);
     }
     if (Env.BackEdges) {
       MBackEdges.inc(Env.BackEdges);
       if (BackEdges)
         *BackEdges = Env.BackEdges;
     }
-    return OK;
   }
-  TEval Eval(Ctx, Compiler);
-  return Eval.runFunction(F, Args, Ret);
+  Compiler.noteLastCallTier(Tier);
+  return Tier;
 }
 
 bool TerraInterpBackend::prepare(TerraFunction *F) {

@@ -1,22 +1,23 @@
 //===- TerraInterpBackend.h - Interpreted execution backend -----*- C++ -*-===//
 //
 // Execution engine that runs typechecked Terra functions with no C compiler
-// required. Since the tiered-execution work (DESIGN.md §10) it is a thin
-// driver over two engines:
+// required: everything under BackendKind::Interp, and code not yet promoted
+// under BackendKind::Tiered. It is the one dispatcher over three engines,
+// each the fallback for constructs the one before does not handle:
 //
-//  * the register-bytecode VM (TerraBytecode/TerraVM) — the tier-0 engine,
-//    used whenever a function compiles to bytecode; and
+//  * the baseline x86-64 JIT (TerraBaselineJIT), when InterpKind::Baseline;
+//  * the register-bytecode VM (TerraBytecode/TerraVM), used whenever a
+//    function compiles to bytecode; and
 //  * the original tree-walking evaluator (TEval, in the .cpp) — the
-//    reference implementation, kept as the fallback for constructs the
-//    bytecode compiler does not cover and as the oracle for differential
-//    tests (TERRACPP_INTERP=tree, or setForceTree, pins every execution to
-//    it).
+//    reference implementation and the oracle for differential tests
+//    (InterpKind::Tree pins every execution to it).
 //
-// Both engines implement the same separate-evaluation semantics as the
+// All engines implement the same separate-evaluation semantics as the
 // native backend (Terra code never touches the host store) and report the
-// same "terra interpreter: ..." diagnostics. Values of function type hold a
-// TerraFunction* (never a machine address), so interpreted code can call
-// externs, host wrappers, and other interpreted functions uniformly.
+// same "terra interpreter: ..." diagnostics. Outside BackendKind::Tiered,
+// values of function type hold a TerraFunction* (never a machine address),
+// so interpreted code can call externs, host wrappers, and other
+// interpreted functions uniformly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,40 +25,36 @@
 #define TERRACPP_CORE_TERRAINTERPBACKEND_H
 
 #include "core/TerraAST.h"
+#include "core/TerraCompiler.h"
 #include "support/Telemetry.h"
 
 #include <cstdint>
 
 namespace terracpp {
 
-class TerraCompiler;
-
 class TerraInterpBackend {
 public:
-  TerraInterpBackend(TerraContext &Ctx, TerraCompiler &Compiler);
+  TerraInterpBackend(TerraContext &Ctx, TerraCompiler &Compiler,
+                     InterpKind Kind);
 
   /// Compiles \p F to bytecode when possible and installs an interpretive
   /// Entry thunk. Idempotent.
   bool prepare(TerraFunction *F);
 
-  /// Runs \p F over FFI-convention arguments through the best available
-  /// interpreted engine: bytecode VM if \p F compiled to bytecode and the
-  /// tree-walker is not forced, tree-walker otherwise. When \p BackEdges is
-  /// non-null it receives the VM's loop back-edge count for this call (0
-  /// for tree-walked calls) — the tier dispatcher feeds it into promotion
-  /// heuristics. False when execution aborted on a trap or error.
-  bool execute(const TerraFunction *F, void **Args, void *Ret,
-               uint64_t *BackEdges = nullptr);
-
-  /// Pins execution to the tree-walking evaluator (differential tests).
-  /// Initialized from TERRACPP_INTERP=tree.
-  void setForceTree(bool Force) { ForceTree = Force; }
-  bool forceTree() const { return ForceTree; }
+  /// Runs \p F over FFI-convention arguments on the first engine that
+  /// handles it: baseline code, the bytecode VM, then the tree-walker.
+  /// Traps and errors surface as diagnostics. Returns the tier that ran it
+  /// (2 = baseline code, 0 = VM or tree-walker) and records it as the
+  /// compiler's last call tier. When \p BackEdges is non-null it receives
+  /// the loop back edges this call executed (0 on the tree-walker) — the
+  /// tiered dispatcher feeds it into promotion heuristics.
+  int execute(const TerraFunction *F, void **Args, void *Ret,
+              uint64_t *BackEdges = nullptr);
 
 private:
   TerraContext &Ctx;
   TerraCompiler &Compiler;
-  bool ForceTree = false;
+  const bool ForceTree;
   telemetry::Histogram &MDispatchUs; ///< vm.dispatch_us (outermost calls).
   telemetry::Counter &MBackEdges;    ///< vm.backedges.
 };

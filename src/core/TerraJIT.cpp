@@ -83,9 +83,8 @@ static bool copyFile(const std::string &From, const std::string &To) {
 }
 
 static std::string resolveCacheDir() {
-  if (const char *Mode = getenv("TERRACPP_CACHE"))
-    if (strcmp(Mode, "off") == 0 || strcmp(Mode, "0") == 0)
-      return "";
+  if (!envcfg::parseBool("TERRACPP_CACHE", true))
+    return "";
   if (const char *Dir = getenv("TERRACPP_CACHE_DIR"))
     return Dir;
   if (const char *Xdg = getenv("XDG_CACHE_HOME"))

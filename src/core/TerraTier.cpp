@@ -10,16 +10,8 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace terracpp {
-
-TierPolicy tierPolicyFromEnv() {
-  const char *E = std::getenv("TERRACPP_JIT_TIER");
-  if (E && std::string(E) == "auto")
-    return TierPolicy::Auto;
-  return TierPolicy::Tier1;
-}
 
 TierManager::TierManager(JITEngine &JIT)
     : JIT(JIT),
@@ -86,15 +78,12 @@ TierManager::registerComponent(std::string CSource, bool Cacheable,
   return C;
 }
 
-void TierManager::noteTier0Call(TierState &TS) {
-  MTier0Calls.inc();
-  uint64_t Prev = TS.Calls.fetch_add(1, std::memory_order_relaxed);
-  if (Prev + 1 >= CallThreshold)
-    tryQueue(TS);
-}
-
-void TierManager::noteBaselineCall(TierState &TS) {
-  MBaselineCalls.inc();
+void TierManager::noteCall(TierState &TS, int Tier) {
+  if (Tier == 1) {
+    MTier1Calls.inc();
+    return;
+  }
+  (Tier == 2 ? MBaselineCalls : MTier0Calls).inc();
   uint64_t Prev = TS.Calls.fetch_add(1, std::memory_order_relaxed);
   if (Prev + 1 >= CallThreshold)
     tryQueue(TS);

@@ -1,8 +1,8 @@
 //===- TerraTier.h - Tiered execution state and promotion -------*- C++ -*-===//
 //
-// Profile-guided tiered execution (DESIGN.md §10). Under TierPolicy::Auto
+// Profile-guided tiered execution (DESIGN.md §10). Under BackendKind::Tiered
 // the compile pipeline stops after C codegen: every function gets a tier-0
-// dispatcher Entry that runs the bytecode VM immediately, and the generated
+// dispatcher Entry that runs the interpreter immediately, and the generated
 // C source is parked in a PendingComponent. Call and back-edge counters
 // (relaxed atomics, telemetry-visible) trigger a background cc job on the
 // TierManager's worker; when it lands, the native entry pointer is
@@ -38,16 +38,6 @@ namespace terracpp {
 class JITEngine;
 class ThreadPool;
 struct PendingComponent;
-
-/// How the compile pipeline schedules native code generation.
-enum class TierPolicy {
-  Tier1, ///< Compile natively on first call (classic synchronous JIT).
-  Auto,  ///< Start on the tier-0 VM, promote hot functions in background.
-};
-
-/// Resolves TERRACPP_JIT_TIER ("auto" => Auto; "1", unset, or anything else
-/// => Tier1). "0" selects the interp backend at Engine level, not a policy.
-TierPolicy tierPolicyFromEnv();
 
 /// Per-function tiered-execution state. Shared by the dispatcher Entry
 /// (reader, any thread), the VM (counter writer), and the promotion worker
@@ -111,15 +101,11 @@ public:
   registerComponent(std::string CSource, bool Cacheable,
                     const std::vector<TerraFunction *> &Fns);
 
-  /// Counts one tier-0 dispatch; queues the component when the call
-  /// threshold is reached.
-  void noteTier0Call(TierState &TS);
-  /// Counts one baseline-JIT dispatch (tier 0.5); contributes to the same
-  /// call threshold as tier-0 calls so baseline-hot functions still promote
-  /// to cc-native code in the background.
-  void noteBaselineCall(TierState &TS);
-  /// Counts one native dispatch (telemetry only).
-  void noteTier1Call() { MTier1Calls.inc(); }
+  /// Counts one dispatch on \p Tier (0 = VM or tree-walker, 2 = baseline
+  /// JIT, 1 = native). Pre-native calls of both kinds count toward the same
+  /// call threshold, which queues the component when reached; native calls
+  /// are telemetry only.
+  void noteCall(TierState &TS, int Tier);
   /// Accumulates VM back edges; queues the component when the back-edge
   /// threshold is reached.
   void noteBackEdges(TierState &TS, uint64_t N);

@@ -875,7 +875,7 @@ json::Value Server::metricsJson() {
   for (const auto &[Hash, Entry] : readyEngines()) {
     json::Value EngineJson = Entry->E->compiler().jit().metrics().toJson();
     // Tiered-execution snapshot for this engine (only present when the
-    // engine runs the auto tier policy).
+    // engine runs the tiered backend).
     if (TierManager *TM = Entry->E->compiler().tierManager()) {
       TierManager::Snapshot Snap = TM->snapshot();
       json::Value Tier = json::Value::object();

@@ -27,6 +27,13 @@ void warnOnce(const char *Name, const char *Value, const char *Why) {
                 {{"var", Name}, {"value", Value}, {"why", Why}});
 }
 
+std::string lower(const char *S) {
+  std::string Out;
+  for (; *S; ++S)
+    Out += static_cast<char>(std::tolower(static_cast<unsigned char>(*S)));
+  return Out;
+}
+
 } // namespace
 
 uint64_t envcfg::parseUInt(const char *Name, uint64_t Default, uint64_t Min,
@@ -92,13 +99,29 @@ bool envcfg::parseBool(const char *Name, bool Default) {
   const char *E = std::getenv(Name);
   if (!E || !*E)
     return Default;
-  std::string S;
-  for (const char *P = E; *P; ++P)
-    S += static_cast<char>(std::tolower(static_cast<unsigned char>(*P)));
+  std::string S = lower(E);
   if (S == "1" || S == "true" || S == "on" || S == "yes")
     return true;
   if (S == "0" || S == "false" || S == "off" || S == "no")
     return false;
   warnOnce(Name, E, "not a boolean; using default");
+  return Default;
+}
+
+size_t envcfg::parseChoice(const char *Name,
+                           std::initializer_list<const char *> Choices,
+                           size_t Default) {
+  const char *E = std::getenv(Name);
+  if (!E || !*E)
+    return Default;
+  std::string S = lower(E);
+  std::string Expected;
+  size_t I = 0;
+  for (const char *C : Choices) {
+    if (S == C)
+      return I;
+    Expected += (I++ ? "|" : "") + std::string(C);
+  }
+  warnOnce(Name, E, ("not one of " + Expected + "; using default").c_str());
   return Default;
 }

@@ -12,7 +12,9 @@
 #ifndef TERRACPP_SUPPORT_ENVPARSE_H
 #define TERRACPP_SUPPORT_ENVPARSE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 namespace terracpp {
@@ -36,6 +38,13 @@ std::string parseString(const char *Name, const std::string &Default);
 /// "no" are false (case-insensitive). Unset returns \p Default; anything
 /// else returns \p Default with a one-time warning.
 bool parseBool(const char *Name, bool Default);
+
+/// Reads a one-of-N knob (case-insensitive) and returns the index of its
+/// value in \p Choices. Unset or empty returns \p Default; any other value
+/// returns \p Default with a one-time warning.
+size_t parseChoice(const char *Name,
+                   std::initializer_list<const char *> Choices,
+                   size_t Default);
 
 } // namespace envcfg
 } // namespace terracpp

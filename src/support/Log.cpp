@@ -1,11 +1,11 @@
 #include "support/Log.h"
 
+#include "support/EnvParse.h"
 #include "support/Json.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace terracpp;
 using namespace terracpp::logging;
@@ -44,13 +44,11 @@ bool logging::parseLevel(const std::string &S, Level &Out) {
 }
 
 void logging::configureFromEnv() {
-  if (const char *Env = getenv("TERRAD_LOG_LEVEL")) {
-    Level L;
-    if (parseLevel(Env, L))
-      setLevel(L);
-  }
-  if (const char *Env = getenv("TERRAD_LOG_JSON"))
-    setJsonOutput(*Env && std::string(Env) != "0");
+  // Same spellings and order as Level.
+  setLevel(static_cast<Level>(envcfg::parseChoice(
+      "TERRAD_LOG_LEVEL", {"debug", "info", "warn", "error", "off"},
+      static_cast<size_t>(level()))));
+  setJsonOutput(envcfg::parseBool("TERRAD_LOG_JSON", jsonOutput()));
 }
 
 bool logging::enabled(Level L) {

@@ -37,7 +37,8 @@ bool jsonOutput();
 /// false and leaves \p Out untouched on anything else.
 bool parseLevel(const std::string &S, Level &Out);
 
-/// Applies TERRAD_LOG_LEVEL (if valid) and TERRAD_LOG_JSON.
+/// Applies TERRAD_LOG_LEVEL and TERRAD_LOG_JSON through EnvParse: an
+/// invalid value keeps the current setting and warns once.
 void configureFromEnv();
 
 bool enabled(Level L);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <thread>
 
 using namespace terracpp;
 using namespace terracpp::telemetry;
@@ -327,4 +328,11 @@ std::string telemetry::mergeExpositions(const std::vector<std::string> &Parts) {
     Out += Body[F];
   }
   return Out;
+}
+
+void telemetry::addHostInfo(json::Value &Report, unsigned PoolSize) {
+  unsigned HW = std::thread::hardware_concurrency();
+  Report.set("hardware_concurrency", json::Value::number(HW));
+  Report.set("pool_size", json::Value::number(PoolSize));
+  Report.set("single_core_host", json::Value::boolean(HW <= 1));
 }

@@ -172,6 +172,13 @@ std::string toPrometheusText(const Registry &R,
 /// outputs that expose the same families under different label sets.
 std::string mergeExpositions(const std::vector<std::string> &Parts);
 
+/// Stamps a benchmark report (a JSON object) with the host's parallelism so
+/// trajectory numbers are never compared across incomparable machines
+/// unknowingly: a "parallel speedup" of 1.0 on a single-core CI runner is
+/// expected, not a regression. \p PoolSize is the worker-pool size the
+/// benchmark actually used (0 = no pool involved).
+void addHostInfo(json::Value &Report, unsigned PoolSize = 0);
+
 /// RAII: records elapsed microseconds into a histogram on destruction.
 class ScopedTimerUs {
 public:

@@ -1,7 +1,7 @@
 //===- ScopedEnv.h - RAII environment-variable override for tests ---------===//
 //
 // Several suites steer Engine construction through environment knobs
-// (TERRACPP_JIT_TIER, TERRACPP_INTERP, TERRACPP_COMPILE_JOBS, ...); this
+// (TERRACPP_BACKEND, TERRACPP_INTERP, TERRACPP_COMPILE_JOBS, ...); this
 // helper sets one variable for a scope and restores the previous state so
 // tests cannot leak configuration into each other.
 //

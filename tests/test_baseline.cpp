@@ -10,16 +10,19 @@
 //   * programs the emitter bails on (oversized frames) fall back to the VM
 //     with identical semantics and count a bailout;
 //   * published code pages are never writable and executable at once (W^X);
-//   * the TERRACPP_JIT_BASELINE / threshold env knobs reject garbage.
+//   * the TERRACPP_INTERP / threshold env knobs reject garbage.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ScopedEnv.h"
+#include "analysis/Analysis.h"
 #include "core/Engine.h"
 #include "core/StagingAPI.h"
 #include "core/TerraBaselineJIT.h"
 #include "core/TerraType.h"
 #include "support/EnvParse.h"
+#include "support/Log.h"
+#include "support/Subprocess.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -188,9 +191,7 @@ TEST_P(BaselineParityTest, MatchesTreeWalker) {
   }
   {
     // Default interp mode: the baseline JIT fronts the bytecode VM.
-    ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-    ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-    ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+    ScopedEnv Pin("TERRACPP_INTERP", "baseline");
     Engine E(BackendKind::Interp);
     ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
     Base = callF(E, P.Arg);
@@ -235,9 +236,7 @@ TEST(Baseline, TrapMessagesAndLocationsMatchInterpreter) {
     RunCase(0, false);
   }
   {
-    ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-    ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-    ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+    ScopedEnv Pin("TERRACPP_INTERP", "baseline");
     RunCase(1, true);
   }
   // Same source location: both diagnostics name the file and line.
@@ -248,9 +247,7 @@ TEST(Baseline, TrapMessagesAndLocationsMatchInterpreter) {
 TEST(Baseline, NullDerefTrapsCleanly) {
   if (!BaselineJIT::supported())
     GTEST_SKIP();
-  ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Pin("TERRACPP_INTERP", "baseline");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): int\n"
                     "  var p: &int = nil\n"
@@ -272,8 +269,7 @@ TEST(Baseline, BuilderMinMaxIntrinsicsMatchTreeWalker) {
   // emitter's minsd/maxsd operand order must reproduce the VM's
   // select-style semantics exactly.
   auto Run = [](bool Tree) {
-    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "");
-    ScopedEnv On("TERRACPP_JIT_BASELINE", Tree ? "0" : "1");
+    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "baseline");
     Engine E(BackendKind::Interp);
     stage::Builder B(E.context());
     TypeContext &TC = E.context().types();
@@ -305,9 +301,7 @@ TEST(Baseline, DeepRecursionOverflowsGracefully) {
   // (the baseline-to-baseline fast path never returns to the VM), so the
   // shared depth budget must stop it with the interpreter's diagnostic —
   // not a host-process SIGSEGV.
-  ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Pin("TERRACPP_INTERP", "baseline");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): int\n"
                     "  if n == 0 then return 0 end\n"
@@ -340,9 +334,7 @@ TEST(Baseline, MediumFrameBailsOutBelowStackGuardGap) {
   // over the emitter's 256 KB native-stack cap, which keeps the prologue's
   // single unprobed `sub rsp` inside the kernel's stack guard gap. The
   // function must bail to the VM and still be correct.
-  ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Pin("TERRACPP_INTERP", "baseline");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): double\n"
                     "  var a: double[40000]\n"
@@ -379,9 +371,7 @@ TEST(Baseline, OversizedFrameBailsOutToVMWithIdenticalResults) {
     ASSERT_TRUE(E.run(Src, "big.t")) << E.errors();
     Tree = callF(E, 1000);
   }
-  ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Pin("TERRACPP_INTERP", "baseline");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run(Src, "big.t")) << E.errors();
   EXPECT_DOUBLE_EQ(callF(E, 1000), Tree);
@@ -400,7 +390,7 @@ TEST(Baseline, OversizedFrameBailsOutToVMWithIdenticalResults) {
 TEST(Baseline, DisabledByEnvKnob) {
   if (!BaselineJIT::supported())
     GTEST_SKIP();
-  ScopedEnv Off("TERRACPP_JIT_BASELINE", "0");
+  ScopedEnv Off("TERRACPP_INTERP", "vm");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): int return n + 1 end")) << E.errors();
   EXPECT_EQ(callF(E, 41), 42);
@@ -412,9 +402,7 @@ TEST(Baseline, DisabledByEnvKnob) {
 TEST(Baseline, CodePagesAreNeverWritableAndExecutable) {
   if (!BaselineJIT::supported())
     GTEST_SKIP();
-  ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Pin("TERRACPP_INTERP", "baseline");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): int\n"
                     "  var s = 0\n"
@@ -486,6 +474,109 @@ TEST(EnvParse, BoolAcceptsCommonSpellingsRejectsGarbage) {
   ScopedEnv V3("TERRACPP_TEST_BOOL3", "maybe");
   EXPECT_TRUE(envcfg::parseBool("TERRACPP_TEST_BOOL3", true));
   EXPECT_FALSE(envcfg::parseBool("TERRACPP_TEST_BOOL3", false));
+  // The product's on/off knobs take the same spellings.
+  {
+    ScopedEnv Json("TERRAD_LOG_JSON", "false");
+    logging::setJsonOutput(true);
+    logging::configureFromEnv();
+    EXPECT_FALSE(logging::jsonOutput());
+  }
+  {
+    ScopedEnv Lints("TERRACPP_ANALYZE", "no");
+    EXPECT_FALSE(analysis::AnalyzeOptions::lintsEnabledFromEnv());
+  }
+  {
+    ScopedEnv Cache("TERRACPP_CACHE", "false");
+    Engine E(BackendKind::Interp);
+    EXPECT_EQ(E.compiler().jit().cacheDir(), "");
+  }
+}
+
+/// Occurrences of \p Needle in \p Text.
+size_t countOf(const std::string &Text, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t P = Text.find(Needle); P != std::string::npos;
+       P = Text.find(Needle, P + 1))
+    ++N;
+  return N;
+}
+
+TEST(EnvParse, ChoiceAcceptsListedValuesRejectsGarbage) {
+  ScopedEnv V("TERRACPP_TEST_CHOICE", "Beta");
+  EXPECT_EQ(envcfg::parseChoice("TERRACPP_TEST_CHOICE", {"alpha", "beta"}, 0),
+            1u);
+  ScopedEnv V2("TERRACPP_TEST_CHOICE2", "gamma");
+  EXPECT_EQ(envcfg::parseChoice("TERRACPP_TEST_CHOICE2", {"alpha", "beta"}, 1),
+            1u);
+  ScopedUnsetEnv V3("TERRACPP_TEST_CHOICE3");
+  EXPECT_EQ(envcfg::parseChoice("TERRACPP_TEST_CHOICE3", {"alpha", "beta"}, 1),
+            1u);
+  // A misspelled log level keeps the current level, with one warning.
+  logging::Level Saved = logging::level();
+  logging::setLevel(logging::Level::Info);
+  {
+    ScopedEnv Level("TERRAD_LOG_LEVEL", "garbage");
+    testing::internal::CaptureStderr();
+    logging::configureFromEnv();
+    logging::configureFromEnv();
+    EXPECT_EQ(countOf(testing::internal::GetCapturedStderr(),
+                      "TERRAD_LOG_LEVEL"),
+              1u);
+    EXPECT_EQ(logging::level(), logging::Level::Info);
+  }
+  {
+    ScopedEnv Level("TERRAD_LOG_LEVEL", "ERROR");
+    logging::configureFromEnv();
+    EXPECT_EQ(logging::level(), logging::Level::Error);
+  }
+  logging::setLevel(Saved);
+}
+
+TEST(EnvParse, ExecutionPolicyResolvesEveryValue) {
+  const std::pair<const char *, BackendKind> Backends[] = {
+      {"native", BackendKind::Native},
+      {"tiered", BackendKind::Tiered},
+      {"interp", BackendKind::Interp},
+      {"Tiered", BackendKind::Tiered}};
+  const std::pair<const char *, InterpKind> Interps[] = {
+      {"baseline", InterpKind::Baseline},
+      {"vm", InterpKind::VM},
+      {"tree", InterpKind::Tree},
+      {"VM", InterpKind::VM}};
+  for (const auto &B : Backends)
+    for (const auto &In : Interps) {
+      ScopedEnv EB("TERRACPP_BACKEND", B.first);
+      ScopedEnv EI("TERRACPP_INTERP", In.first);
+      EXPECT_EQ(Engine::defaultBackend(), B.second) << B.first;
+      EXPECT_EQ(Engine::defaultInterp(), In.second) << In.first;
+      // An explicit argument ignores TERRACPP_BACKEND; the interpreter
+      // always comes from TERRACPP_INTERP.
+      Engine E(BackendKind::Interp);
+      EXPECT_EQ(E.compiler().backend(), BackendKind::Interp) << B.first;
+      EXPECT_EQ(E.compiler().interpKind(), In.second) << In.first;
+      EXPECT_EQ(E.compiler().baseline() != nullptr,
+                In.second == InterpKind::Baseline && BaselineJIT::supported())
+          << In.first;
+    }
+  // Unset: the cc probe picks the backend, and the baseline JIT interprets.
+  ScopedUnsetEnv NoBackend("TERRACPP_BACKEND");
+  ScopedUnsetEnv NoInterp("TERRACPP_INTERP");
+  BackendKind Probe =
+      findOnPath("cc").empty() ? BackendKind::Interp : BackendKind::Native;
+  EXPECT_EQ(Engine::defaultBackend(), Probe);
+  EXPECT_EQ(Engine::defaultInterp(), InterpKind::Baseline);
+  {
+    Engine E;
+    EXPECT_EQ(E.compiler().backend(), Probe);
+  }
+  // Garbage: the same default, and one warning however often it is read.
+  ScopedEnv Bad("TERRACPP_BACKEND", "bananas");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(Engine::defaultBackend(), Probe);
+  EXPECT_EQ(Engine::defaultBackend(), Probe);
+  EXPECT_EQ(countOf(testing::internal::GetCapturedStderr(),
+                    "TERRACPP_BACKEND"),
+            1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -534,8 +625,7 @@ TEST(Baseline, ShiftGuardTrapsInBaselineCode) {
     GTEST_SKIP() << "baseline JIT not supported on this architecture";
   // An unproven shift keeps its TrapIfShiftGE, and the baseline's trap
   // path reports the same diagnostic as the VM's.
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Pin("TERRACPP_INTERP", "baseline");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): int return 1 << n end")) << E.errors();
   EXPECT_EQ(callF(E, 6), 64);
@@ -549,12 +639,14 @@ TEST(Baseline, ShiftGuardTrapsInBaselineCode) {
 TEST(EnvParse, BaselineKnobSurvivesGarbage) {
   if (!BaselineJIT::supported())
     GTEST_SKIP();
-  // An invalid value falls back to the default (enabled) with a warning,
-  // rather than silently disabling the tier.
-  ScopedUnsetEnv NoForce("TERRACPP_INTERP");
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  ScopedEnv Bad("TERRACPP_JIT_BASELINE", "bananas");
-  EXPECT_TRUE(BaselineJIT::enabledFromEnv());
+  // An invalid value falls back to the default (baseline) with one
+  // warning, rather than silently disabling the tier.
+  ScopedEnv Bad("TERRACPP_INTERP", "bananas");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(Engine::defaultInterp(), InterpKind::Baseline);
+  EXPECT_EQ(Engine::defaultInterp(), InterpKind::Baseline);
+  EXPECT_EQ(
+      countOf(testing::internal::GetCapturedStderr(), "TERRACPP_INTERP"), 1u);
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): int return n * 2 end")) << E.errors();
   EXPECT_EQ(callF(E, 21), 42);

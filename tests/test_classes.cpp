@@ -20,7 +20,7 @@ using stage::Builder;
 namespace {
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 /// Builds the paper's Shape/Square example:

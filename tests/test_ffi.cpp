@@ -22,7 +22,7 @@ using lua::Value;
 namespace {
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 TEST(FFI, NumberConversionsRoundTrip) {

@@ -299,11 +299,11 @@ TEST(Fleet, FrontSpeaksPlainTerradProtocol) {
 
 TEST(Fleet, CrossShardDiskCacheHitThroughSharedCacheDir) {
   // The hit depends on the owner shard publishing its .so eagerly; under
-  // TERRACPP_JIT_TIER=auto promotion is deferred past this test's horizon,
-  // so pin the eager tier-1 pipeline (matching what the skip below checks).
-  ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
-  if (Engine::defaultBackend() != BackendKind::Native)
+  // the tiered backend promotion is deferred past this test's horizon, so
+  // the shards run the native backend whatever the outer environment says.
+  if (findOnPath("cc").empty())
     GTEST_SKIP() << "disk cache needs the native backend (no cc on PATH)";
+  ScopedEnv Native("TERRACPP_BACKEND", "native");
   FleetFixture F(2);
   ASSERT_TRUE(F.StartOK) << F.StartErr;
   server::Client C = F.frontClient();
@@ -1100,10 +1100,10 @@ TEST(Fleet, AggregatedMetricsTextMergesShardExpositions) {
 }
 
 TEST(Fleet, AggregatedProfileNamespacesComponentsByShard) {
-  if (Engine::defaultBackend() != BackendKind::Native)
-    GTEST_SKIP() << "tier auto needs the native backend";
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
-  ScopedEnv NoBase("TERRACPP_JIT_BASELINE", "0");
+  if (Engine::defaultBackend() == BackendKind::Interp)
+    GTEST_SKIP() << "the tiered backend needs a C compiler";
+  ScopedEnv Tier("TERRACPP_BACKEND", "tiered");
+  ScopedEnv VM("TERRACPP_INTERP", "vm");
   ScopedEnv Calls("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
   ScopedEnv Back("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
   FleetFixture F(2);

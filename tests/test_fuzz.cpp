@@ -1,12 +1,13 @@
 //===- test_fuzz.cpp - Randomized differential backend testing ------------===//
 //
 // Property: for any well-typed Terra program, every execution engine — the
-// native C backend, the tier-0 register-bytecode VM, and the tree-walking
-// evaluator — computes the bit-identical result. This suite generates
-// random (seeded, reproducible) programs — double arithmetic, comparisons,
-// branches, bounded loops, assignments — runs them on all three engines,
-// and compares. Doubles are used for arithmetic so no C undefined behavior
-// (signed overflow) can make "disagreement" ambiguous.
+// native C backend, the tiered dispatcher, the baseline JIT, the tier-0
+// register-bytecode VM, and the tree-walking evaluator — computes the
+// bit-identical result. This suite generates random (seeded, reproducible)
+// programs — double arithmetic, comparisons, branches, bounded loops,
+// assignments — runs them on all five engines, and compares. Doubles are
+// used for arithmetic so no C undefined behavior (signed overflow) can make
+// "disagreement" ambiguous.
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,24 +132,41 @@ private:
 
 class FuzzDiffTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// The four execution engines under differential test.
+/// The five execution engines under differential test, each pinned by the
+/// Engine's backend argument plus TERRACPP_INTERP, so every configuration
+/// of the outer environment fuzzes all of them. Tiered makes one call per
+/// program, which its baseline tier serves through the tiered dispatcher.
 struct EngineConfig {
   const char *Name;
   BackendKind Backend;
-  const char *InterpMode; ///< TERRACPP_INTERP for the run; null = default.
-  bool Baseline;          ///< Route through the baseline JIT (tier 0.5).
+  const char *Interp; ///< TERRACPP_INTERP for the run.
 };
 
 const EngineConfig Engines[] = {
-    {"native", BackendKind::Native, nullptr, false},
-    {"baseline", BackendKind::Interp, nullptr, true},
-    {"vm", BackendKind::Interp, "vm", false},
-    {"tree", BackendKind::Interp, "tree", false},
+    {"native", BackendKind::Native, "baseline"},
+    {"tiered", BackendKind::Tiered, "baseline"},
+    {"baseline", BackendKind::Interp, "baseline"},
+    {"vm", BackendKind::Interp, "vm"},
+    {"tree", BackendKind::Interp, "tree"},
 };
 constexpr int NumEngines = static_cast<int>(std::size(Engines));
+enum { Native, Tiered, Baseline, VM, Tree };
+
+/// Bit-identical results across every engine pair that ran; the VM is the
+/// pivot. Only native needs a C compiler.
+void expectAgreement(const double (&Results)[NumEngines],
+                     const bool (&Have)[NumEngines], uint64_t Seed,
+                     const std::string &Src) {
+  ASSERT_TRUE(Have[Tiered] && Have[Baseline] && Have[VM] && Have[Tree]);
+  for (int I = 0; I != NumEngines; ++I)
+    if (I != VM && Have[I])
+      EXPECT_EQ(Results[I], Results[VM])
+          << Engines[I].Name << " vs vm, seed " << Seed << "\n"
+          << Src;
+}
 
 TEST_P(FuzzDiffTest, BackendsAgree) {
-  bool Native = Engine::defaultBackend() == BackendKind::Native;
+  bool HaveCC = Engine::defaultBackend() != BackendKind::Interp;
   uint64_t Seed = GetParam();
   ProgramGen G(Seed);
   std::string Src = G.generate();
@@ -157,10 +175,9 @@ TEST_P(FuzzDiffTest, BackendsAgree) {
   bool Have[NumEngines] = {false};
   for (int I = 0; I != NumEngines; ++I) {
     const EngineConfig &C = Engines[I];
-    if (C.Backend == BackendKind::Native && !Native)
+    if (C.Backend == BackendKind::Native && !HaveCC)
       continue; // No C compiler: the interpreter tiers still differential.
-    ScopedEnv Force("TERRACPP_INTERP", C.InterpMode ? C.InterpMode : "");
-    ScopedEnv Base("TERRACPP_JIT_BASELINE", C.Baseline ? "1" : "0");
+    ScopedEnv Force("TERRACPP_INTERP", C.Interp);
     Engine E(C.Backend);
     ASSERT_TRUE(E.run(Src, "fuzz")) << "seed " << Seed << "\n"
                                     << Src << "\n"
@@ -174,17 +191,8 @@ TEST_P(FuzzDiffTest, BackendsAgree) {
     Results[I] = R[0].asNumber();
     Have[I] = true;
   }
-  // The interpreter tiers always run.
-  ASSERT_TRUE(Have[1] && Have[2] && Have[3]);
-  ASSERT_FALSE(std::isnan(Results[2])) << Src;
-  // Bit-identical across every engine pair that ran.
-  EXPECT_EQ(Results[2], Results[3])
-      << "vm vs tree, seed " << Seed << "\n" << Src;
-  EXPECT_EQ(Results[1], Results[2])
-      << "baseline vs vm, seed " << Seed << "\n" << Src;
-  if (Have[0])
-    EXPECT_EQ(Results[0], Results[2])
-        << "native vs vm, seed " << Seed << "\n" << Src;
+  ASSERT_FALSE(std::isnan(Results[VM])) << Src;
+  expectAgreement(Results, Have, Seed, Src);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDiffTest,
@@ -276,7 +284,7 @@ private:
 class IntFuzzDiffTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IntFuzzDiffTest, BackendsAgreeOnGuardElidedCode) {
-  bool Native = Engine::defaultBackend() == BackendKind::Native;
+  bool HaveCC = Engine::defaultBackend() != BackendKind::Interp;
   uint64_t Seed = GetParam();
   IntProgramGen G(Seed);
   std::string Src = G.generate();
@@ -285,10 +293,9 @@ TEST_P(IntFuzzDiffTest, BackendsAgreeOnGuardElidedCode) {
   bool Have[NumEngines] = {false};
   for (int I = 0; I != NumEngines; ++I) {
     const EngineConfig &C = Engines[I];
-    if (C.Backend == BackendKind::Native && !Native)
+    if (C.Backend == BackendKind::Native && !HaveCC)
       continue;
-    ScopedEnv Force("TERRACPP_INTERP", C.InterpMode ? C.InterpMode : "");
-    ScopedEnv Base("TERRACPP_JIT_BASELINE", C.Baseline ? "1" : "0");
+    ScopedEnv Force("TERRACPP_INTERP", C.Interp);
     Engine E(C.Backend);
     E.compiler().setAnalyzeLints(true); // Feed RangeFacts to the backends.
     ASSERT_TRUE(E.run(Src, "intfuzz")) << "seed " << Seed << "\n"
@@ -303,14 +310,7 @@ TEST_P(IntFuzzDiffTest, BackendsAgreeOnGuardElidedCode) {
     Results[I] = R[0].asNumber();
     Have[I] = true;
   }
-  ASSERT_TRUE(Have[1] && Have[2] && Have[3]);
-  EXPECT_EQ(Results[2], Results[3])
-      << "vm vs tree, seed " << Seed << "\n" << Src;
-  EXPECT_EQ(Results[1], Results[2])
-      << "baseline vs vm, seed " << Seed << "\n" << Src;
-  if (Have[0])
-    EXPECT_EQ(Results[0], Results[2])
-        << "native vs vm, seed " << Seed << "\n" << Src;
+  expectAgreement(Results, Have, Seed, Src);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntFuzzDiffTest,

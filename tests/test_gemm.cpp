@@ -28,7 +28,7 @@ using namespace terracpp::autotuner;
 namespace {
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 template <typename T>

@@ -45,7 +45,7 @@ namespace {
 /// when no C compiler is installed (the baseline/interp tiers cover that
 /// configuration elsewhere).
 #define REQUIRE_CC()                                                           \
-  if (Engine::defaultBackend() != BackendKind::Native)                         \
+  if (Engine::defaultBackend() == BackendKind::Interp)                         \
   GTEST_SKIP() << "no C compiler on PATH"
 
 /// Points TERRACPP_CACHE_DIR at a fresh private directory for one test and
@@ -278,14 +278,13 @@ TEST(JITCache, ThreadedAddModuleStress) {
 TEST(JITCache, ConcurrentEnginesCompileIndependently) {
   REQUIRE_CC();
   ScopedCacheDir Cache;
-  // These tests exercise the tier-1 native batch pipeline specifically;
-  // pin the tier so they keep doing so under TERRACPP_JIT_TIER=0/auto runs.
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "1");
+  // These tests exercise the native batch pipeline specifically; the
+  // explicit backend keeps them doing so whatever TERRACPP_BACKEND says.
   std::atomic<int> Failures{0};
   std::vector<std::thread> Workers;
   for (int T = 0; T != 2; ++T)
     Workers.emplace_back([&, T] {
-      Engine E;
+      Engine E(BackendKind::Native);
       std::string Name = "conc" + std::to_string(T);
       std::string Src = "terra " + Name + "(x: int): int return x * " +
                         std::to_string(T + 2) + " end";
@@ -305,8 +304,7 @@ TEST(JITCache, ConcurrentEnginesCompileIndependently) {
 TEST(JITCache, CompileAllBatchesAFamily) {
   REQUIRE_CC();
   ScopedCacheDir Cache;
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "1");
-  Engine E;
+  Engine E(BackendKind::Native);
   constexpr int N = 8;
   std::string Src;
   for (int I = 0; I != N; ++I)
@@ -327,7 +325,7 @@ TEST(JITCache, CompileAllBatchesAFamily) {
   EXPECT_GE(E.compiler().jit().stats().ModulesLoaded, static_cast<unsigned>(N));
 
   // An identical family in a fresh engine is served entirely from cache.
-  Engine E2;
+  Engine E2(BackendKind::Native);
   ASSERT_TRUE(E2.run(Src)) << E2.errors();
   std::vector<TerraFunction *> Fns2;
   for (int I = 0; I != N; ++I)
@@ -343,10 +341,9 @@ TEST(JITCache, CompileAllUsesWorkerPool) {
   // On single-core machines the default job count is 1 and addModules
   // stays serial; force a pool so the parallel path is always exercised.
   ScopedCacheDir Cache;
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "1");
   setenv("TERRACPP_COMPILE_JOBS", "4", 1);
   {
-    Engine E;
+    Engine E(BackendKind::Native);
     constexpr int N = 12;
     std::string Src;
     for (int I = 0; I != N; ++I)
@@ -491,8 +488,7 @@ TEST(JITCache, CrossProcessCacheSharing) {
 TEST(JITCache, CompileAllSharedCalleeAcrossRoots) {
   REQUIRE_CC();
   ScopedCacheDir Cache;
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "1");
-  Engine E;
+  Engine E(BackendKind::Native);
   ASSERT_TRUE(E.run("terra shared(x: int): int return x * 3 end\n"
                     "terra rootA(x: int): int return shared(x) + 1 end\n"
                     "terra rootB(x: int): int return shared(x) + 2 end\n"))
@@ -664,7 +660,6 @@ TEST(JITCache, ScratchDirCreatedByCompileAndRemovedWithEngine) {
 TEST(JITCache, CacheHitNativeEngineCreatesNoScratchDir) {
   REQUIRE_CC();
   ScopedCacheDir Cache;
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "1");
   for (int Pass = 0; Pass != 2; ++Pass) {
     Engine E(BackendKind::Native);
     ASSERT_TRUE(E.run("terra warm7(x: int): int return x * 7 end"))

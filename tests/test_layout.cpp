@@ -21,7 +21,7 @@ using stage::Builder;
 namespace {
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 /// Generates a kernel against the layout-independent interface:

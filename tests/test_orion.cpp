@@ -25,7 +25,7 @@ using namespace terracpp::orion;
 namespace {
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 std::vector<float> testImage(int64_t W, int64_t H) {

@@ -18,7 +18,7 @@ using namespace terracpp;
 namespace {
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 std::string scriptPath(const char *Name) {

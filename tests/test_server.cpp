@@ -396,13 +396,13 @@ TEST(Terrad, MetricsOpReportsPerOpLatency) {
 }
 
 TEST(Terrad, TieredExecutionSurfacesInCallStatsAndMetrics) {
-  if (Engine::defaultBackend() != BackendKind::Native)
-    GTEST_SKIP() << "tier auto needs the native backend";
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
-  // Thresholds far beyond what this test generates, and the baseline JIT
-  // pinned off: every function stays on the tier-0 VM, so the observable
+  if (Engine::defaultBackend() == BackendKind::Interp)
+    GTEST_SKIP() << "the tiered backend needs a C compiler";
+  ScopedEnv Tier("TERRACPP_BACKEND", "tiered");
+  // Thresholds far beyond what this test generates, and the VM pinned as
+  // the interpreter: every function stays on tier 0, so the observable
   // state is deterministic (the baseline tier echo has its own test below).
-  ScopedEnv NoBase("TERRACPP_JIT_BASELINE", "0");
+  ScopedEnv VM("TERRACPP_INTERP", "vm");
   ScopedEnv Calls("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
   ScopedEnv Back("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
   ServerFixture F;
@@ -449,11 +449,12 @@ TEST(Terrad, TieredExecutionSurfacesInCallStatsAndMetrics) {
 }
 
 TEST(Terrad, BaselineTierEchoedAndCountedInMetrics) {
-  if (Engine::defaultBackend() != BackendKind::Native)
-    GTEST_SKIP() << "tier auto needs the native backend";
+  if (Engine::defaultBackend() == BackendKind::Interp)
+    GTEST_SKIP() << "the tiered backend needs a C compiler";
   if (!BaselineJIT::supported())
     GTEST_SKIP() << "baseline JIT not supported on this architecture";
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
+  ScopedEnv Tier("TERRACPP_BACKEND", "tiered");
+  ScopedEnv Base("TERRACPP_INTERP", "baseline");
   // Promotion thresholds out of reach: calls stay on the baseline JIT.
   ScopedEnv Calls("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
   ScopedEnv Back("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
@@ -646,10 +647,10 @@ TEST(Terrad, TraceDumpOpReturnsTaggedSpans) {
 }
 
 TEST(Terrad, ProfileOpReportsPerFunctionCounters) {
-  if (Engine::defaultBackend() != BackendKind::Native)
-    GTEST_SKIP() << "tier auto needs the native backend";
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
-  ScopedEnv NoBase("TERRACPP_JIT_BASELINE", "0");
+  if (Engine::defaultBackend() == BackendKind::Interp)
+    GTEST_SKIP() << "the tiered backend needs a C compiler";
+  ScopedEnv Tier("TERRACPP_BACKEND", "tiered");
+  ScopedEnv VM("TERRACPP_INTERP", "vm");
   ScopedEnv Calls("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
   ScopedEnv Back("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
   ServerFixture F;

@@ -1,7 +1,7 @@
 //===- test_tiering.cpp - Tiered execution (tier 0 -> tier 1) tests -------===//
 //
 // Exercises the profile-guided promotion pipeline (DESIGN.md §10): under
-// TERRACPP_JIT_TIER=auto every function starts on the bytecode VM, call and
+// BackendKind::Tiered every function starts on the interpreter, call and
 // back-edge counters queue a background native compile, and the dispatcher
 // atomically switches to machine code when it lands. These tests check:
 //   * first calls execute on tier 0 without blocking on a C compiler;
@@ -33,7 +33,7 @@ using lua::Value;
 namespace {
 
 bool nativeAvailable() {
-  return Engine::defaultBackend() == BackendKind::Native;
+  return Engine::defaultBackend() != BackendKind::Interp;
 }
 
 double callF(Engine &E, const char *Name, double Arg) {
@@ -55,14 +55,13 @@ template <typename Pred> bool waitFor(Pred Done) {
 TEST(Tiering, FirstCallRunsOnTier0WithoutNativeCompile) {
   if (!nativeAvailable())
     GTEST_SKIP();
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
-  // Pin the baseline JIT off: this test asserts about the tier-0 VM
-  // specifically (test_baseline covers the tier-0.5 path).
-  ScopedEnv NoBase("TERRACPP_JIT_BASELINE", "0");
+  // Pin the VM: this test asserts about the tier-0 VM specifically
+  // (test_baseline covers the tier-0.5 path).
+  ScopedEnv VM("TERRACPP_INTERP", "vm");
   // A threshold far above what this test reaches: promotion never fires.
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
   ScopedEnv BThresh("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra f(x: int): int return x * 3 + 1 end"))
       << E.errors();
   EXPECT_EQ(callF(E, "f", 5), 16);
@@ -82,9 +81,8 @@ TEST(Tiering, FirstCallRunsOnTier0WithoutNativeCompile) {
 TEST(Tiering, HotFunctionPromotesInBackground) {
   if (!nativeAvailable())
     GTEST_SKIP();
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "3");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra f(x: int): int return x + 7 end")) << E.errors();
   for (int I = 0; I != 5; ++I)
     EXPECT_EQ(callF(E, "f", I), I + 7);
@@ -110,10 +108,9 @@ TEST(Tiering, HotFunctionPromotesInBackground) {
 TEST(Tiering, BackEdgeCounterPromotesLoopHeavyFunction) {
   if (!nativeAvailable())
     GTEST_SKIP();
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
   ScopedEnv BThresh("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra f(n: int): int\n"
                     "  var s = 0\n"
                     "  for i = 0, n do s = s + i end\n"
@@ -132,9 +129,8 @@ TEST(Tiering, BackEdgeCounterPromotesLoopHeavyFunction) {
 TEST(Tiering, RawPointerForcesSynchronousPromotion) {
   if (!nativeAvailable())
     GTEST_SKIP();
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra f(x: int): int return x - 2 end")) << E.errors();
   TerraFunction *F = E.terraFunction("f");
   ASSERT_NE(F, nullptr);
@@ -149,9 +145,8 @@ TEST(Tiering, RawPointerForcesSynchronousPromotion) {
 TEST(Tiering, IdenticalResultsAcrossTheSwitch) {
   if (!nativeAvailable())
     GTEST_SKIP();
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "4");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   // Mixed int/float arithmetic where tier divergence would show up.
   ASSERT_TRUE(E.run("terra f(x: double): double\n"
                     "  var a: float = x\n"
@@ -175,8 +170,9 @@ TEST(Tiering, IdenticalResultsAcrossTheSwitch) {
 }
 
 TEST(Tiering, Tier0PinDisablesPromotion) {
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "0");
-  Engine E; // Default backend resolves to the interp engine.
+  ScopedEnv Backend("TERRACPP_BACKEND", "interp");
+  ScopedEnv VM("TERRACPP_INTERP", "vm");
+  Engine E; // The default backend resolves to the interp engine.
   ASSERT_TRUE(E.run("terra f(x: int): int return x * x end")) << E.errors();
   for (int I = 0; I != 50; ++I)
     EXPECT_EQ(callF(E, "f", I), I * I);
@@ -188,9 +184,8 @@ TEST(Tiering, Tier0PinDisablesPromotion) {
 TEST(Tiering, ConcurrentCallersNeverObserveATornEntry) {
   if (!nativeAvailable())
     GTEST_SKIP();
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "2");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra f(x: int): int\n"
                     "  var s = 0\n"
                     "  for i = 0, 64 do s = s + x end\n"
@@ -234,13 +229,13 @@ TEST(Tiering, MissingCompilerPinsFunctionsAtBaselineTier) {
   if (!BaselineJIT::supported())
     GTEST_SKIP() << "baseline JIT not supported on this architecture";
   // An empty PATH makes every cc spawn fail with ENOENT. The engine is
-  // forced onto the native backend so the tiering pipeline still engages;
-  // promotion must fail once, pin at the baseline tier, and stop retrying.
+  // forced onto the tiered backend so the promotion pipeline still
+  // engages; promotion must fail once, pin at the baseline tier, and stop
+  // retrying.
   ScopedEnv Path("PATH", "/terracpp-no-such-dir");
-  ScopedEnv Backend("TERRACPP_BACKEND", "native");
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
+  ScopedEnv Base("TERRACPP_INTERP", "baseline");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "2");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra f(x: int): int return x + 1 end")) << E.errors();
   for (int I = 0; I != 10; ++I)
     EXPECT_EQ(callF(E, "f", I), I + 1);
@@ -269,15 +264,14 @@ TEST(Tiering, DeepRecursionOnBaselineTierOverflowsGracefully) {
   if (!BaselineJIT::supported())
     GTEST_SKIP() << "baseline JIT not supported on this architecture";
   // Under tiering, each recursion level re-enters the dispatcher thunk
-  // with a fresh ExecEnv — the thread-shared depth budget must still trip
-  // and produce the interpreter's diagnostic instead of overrunning the
-  // native stack. Thresholds far out of reach keep the function on the
+  // (and TerraInterpBackend::execute) with a fresh ExecEnv — the
+  // thread-shared depth budget must still trip and produce the
+  // interpreter's diagnostic instead of overrunning the native stack. Thresholds far out of reach keep the function on the
   // baseline tier for the whole test (no promotion race).
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
-  ScopedEnv Base("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Base("TERRACPP_INTERP", "baseline");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "1000000000");
   ScopedEnv BThresh("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra f(n: int): int\n"
                     "  if n == 0 then return 0 end\n"
                     "  return f(n - 1) + n\n"
@@ -297,9 +291,8 @@ TEST(Tiering, DeepRecursionOnBaselineTierOverflowsGracefully) {
 TEST(Tiering, SnapshotTracksBacklogAndFailureCounters) {
   if (!nativeAvailable())
     GTEST_SKIP();
-  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
-  Engine E;
+  Engine E(BackendKind::Tiered);
   ASSERT_TRUE(E.run("terra a(x: int): int return x + 1 end\n"
                     "terra b(x: int): int return x + 2 end"))
       << E.errors();

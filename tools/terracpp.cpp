@@ -48,11 +48,12 @@ void usage() {
   fprintf(stderr,
           "usage: terracpp [options] [script.t]\n"
           "  -e CHUNK           run CHUNK\n"
-          "  --backend=interp   use the tree-walking Terra evaluator\n"
-          "  --tier={0,1,auto}  execution tier: 0 = bytecode VM only, 1 =\n"
-          "                     native only (default), auto = start on the\n"
-          "                     VM and promote hot functions to native in\n"
-          "                     the background (TERRACPP_JIT_TIER)\n"
+          "  --backend=KIND     when cc compiles Terra code: native (at first\n"
+          "                     call), tiered (start interpreted, promote hot\n"
+          "                     code in the background) or interp (never).\n"
+          "                     Default $TERRACPP_BACKEND, else native if cc\n"
+          "                     is on PATH. TERRACPP_INTERP={baseline,vm,\n"
+          "                     tree} picks the interpreter\n"
           "  --dump-fn NAME     pretty-print terra function NAME\n"
           "  --emit-c NAME      print generated C for NAME\n"
           "  --analyze          run the terracheck lints (TA001..TA008) over\n"
@@ -208,10 +209,10 @@ void printHistogramRow(const std::string &Name,
 
 /// The --time-report table. The canonical pipeline phases print first, in
 /// execution order and unconditionally — a zero-count row (e.g. analyze
-/// when --analyze was not passed, baseline emission under --tier=1) is the
-/// report saying "this stage exists and did not run", which keeps the table
-/// shape stable for scripts that diff reports. Every other histogram with
-/// data (thread pool, VM dispatch, autotuner) follows.
+/// when --analyze was not passed, baseline emission under --backend=native)
+/// is the report saying "this stage exists and did not run", which keeps
+/// the table shape stable for scripts that diff reports. Every other
+/// histogram with data (thread pool, VM dispatch, autotuner) follows.
 void printTimeReport(Engine &E) {
   telemetry::Registry &Global = telemetry::Registry::global();
   telemetry::Registry &Jit = E.compiler().jit().metrics();
@@ -274,7 +275,7 @@ bool writeAnalyzeJson(Engine &E, const analysis::AnalysisReport &Report,
 
 /// --profile=OUT.json: the same per-function profile document terrad's
 /// "profile" op serves, written locally. Tier counters only exist under
-/// tiered execution (--tier=auto / 0); otherwise components is empty.
+/// --backend=tiered; otherwise components is empty.
 bool writeProfile(Engine &E, const std::string &Path) {
   json::Value Components = json::Value::object();
   if (TierManager *TM = E.compiler().tierManager())
@@ -314,20 +315,12 @@ int main(int Argc, char **Argv) {
       ProfilePath = Arg.substr(strlen("--profile="));
     } else if (Arg == "--time-report") {
       TimeReport = true;
-    } else if (Arg == "--backend=interp") {
-      Backend = BackendKind::Interp;
     } else if (Arg == "--backend=native") {
       Backend = BackendKind::Native;
-    } else if (Arg.rfind("--tier=", 0) == 0) {
-      std::string Tier = Arg.substr(strlen("--tier="));
-      if (Tier != "0" && Tier != "1" && Tier != "auto") {
-        fprintf(stderr, "terracpp: --tier must be 0, 1, or auto\n");
-        return 2;
-      }
-      // The Engine reads the tier at construction from the environment
-      // (shared with TERRACPP_JIT_TIER); the flag simply sets it first.
-      setenv("TERRACPP_JIT_TIER", Tier.c_str(), 1);
-      Backend = Engine::defaultBackend();
+    } else if (Arg == "--backend=tiered") {
+      Backend = BackendKind::Tiered;
+    } else if (Arg == "--backend=interp") {
+      Backend = BackendKind::Interp;
     } else if (Arg == "--analyze") {
       Analyze = true;
     } else if (Arg == "--analyze-werror") {
