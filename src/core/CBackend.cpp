@@ -483,6 +483,29 @@ public:
       Type *IT = F->Var.Sym->DeclaredType;
       OS << ind() << "{\n";
       ++Indent;
+      if (IT->isFloat()) {
+        // A float variable counts on the int64 truncations of its bounds
+        // and reads back its (possibly reassigned) value each iteration,
+        // as the interpreter tiers do.
+        std::string CT = "_ct" + std::to_string(TempCounter++);
+        OS << ind() << "int64_t " << CT << " = (int64_t)(" << expr(F->Lo)
+           << "), " << HiT << " = (int64_t)(" << expr(F->Hi) << "), " << StT
+           << " = " << (F->Step ? "(int64_t)(" + expr(F->Step) + ")" : "1")
+           << ";\n";
+        OS << ind() << "for (; (" << StT << " > 0) ? (" << CT << " < " << HiT
+           << ") : (" << CT << " > " << HiT << "); " << CT << " += " << StT
+           << ") {\n";
+        ++Indent;
+        OS << ind() << cdecl(IT, IVar) << " = (" << cType(IT) << ")" << CT
+           << ";\n";
+        emitBlock(OS, F->Body);
+        OS << ind() << CT << " = (int64_t)" << IVar << ";\n";
+        --Indent;
+        OS << ind() << "}\n";
+        --Indent;
+        OS << ind() << "}\n";
+        return;
+      }
       OS << ind() << cdecl(IT, HiT) << " = " << expr(F->Hi) << ";\n";
       if (F->Step) {
         OS << ind() << cdecl(IT, StT) << " = " << expr(F->Step) << ";\n";
@@ -695,6 +718,12 @@ public:
       }
       std::string S =
           "(" + expr(B->LHS) + " " + Op + " " + expr(B->RHS) + ")";
+      // A GNU vector comparison yields -1/0 integer lanes of the operand
+      // width; Terra's vector(bool, N) holds 0/1 bytes.
+      const auto *VT = dyn_cast_or_null<VectorType>(B->Ty);
+      if (VT && VT->element()->isBool())
+        return "__builtin_convertvector(-" + S + ", " +
+               vectorName(VT, false) + ")";
       // C's integer promotions widen sub-int arithmetic to int; truncate
       // back to the Terra result type (e.g. uint8 + uint8 wraps at 256).
       if (B->Ty && B->Ty->isIntegral() && B->Ty->size() < 4)
@@ -711,6 +740,9 @@ public:
         return S;
       }
       case UnOpKind::Not:
+        if (const auto *VT = dyn_cast<VectorType>(U->Ty)) // 0/1 bool lanes.
+          return "(" + expr(U->Operand) + " ^ " + vectorName(VT, false) +
+                 "_splat(1))";
         return "(!" + expr(U->Operand) + ")";
       case UnOpKind::Deref:
         return "(*" + expr(U->Operand) + ")";

@@ -15,6 +15,7 @@
 #include "core/TerraAST.h"
 #include "core/TerraType.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
@@ -75,6 +76,30 @@ RetKind retKindOf(const Type *T) {
   return RetKind::None;
 }
 
+/// Lane shape of a vector type whose elements are primitive values (the
+/// only vectors the typechecker builds); null for anything else.
+const PrimType *laneType(const Type *T) {
+  const auto *VT = dyn_cast_or_null<VectorType>(T);
+  if (!VT)
+    return nullptr;
+  const auto *P = dyn_cast<PrimType>(VT->element());
+  return P && P->primKind() != PrimType::Void ? P : nullptr;
+}
+
+/// The lane a constant index selects in a vector of \p N lanes, or -1 when
+/// the index is not a literal in range (then it is a runtime index).
+int constLane(const TerraExpr *Idx, uint64_t N) {
+  if (const auto *C = dyn_cast<CastExpr>(Idx))
+    if (C->Ty && C->Ty->isIntegral() && C->Operand->Ty &&
+        C->Operand->Ty->isIntegral())
+      Idx = C->Operand;
+  const auto *L = dyn_cast<LitExpr>(Idx);
+  if (!L || L->LK != LitExpr::LK_Int || L->IntVal < 0 ||
+      static_cast<uint64_t>(L->IntVal) >= N)
+    return -1;
+  return static_cast<int>(L->IntVal);
+}
+
 //===----------------------------------------------------------------------===//
 // Pre-pass: find locals, address-taken roots, and unsupported constructs
 //===----------------------------------------------------------------------===//
@@ -82,17 +107,23 @@ RetKind retKindOf(const Type *T) {
 struct Prepass {
   std::vector<std::pair<const TerraSymbol *, Type *>> Decls;
   std::set<const TerraSymbol *> AddrTaken;
+  BailSite Why;
   bool Bailed = false;
 
-  void bail() { Bailed = true; }
+  void bail(const char *Reason, SourceLoc Loc) {
+    if (Bailed)
+      return;
+    Bailed = true;
+    Why = {Reason, Loc};
+  }
 
-  void declare(const TerraSymbol *S) {
+  void declare(const TerraSymbol *S, SourceLoc Loc) {
     if (!S || !S->DeclaredType) {
-      bail();
+      bail("untyped local", Loc);
       return;
     }
-    if (S->DeclaredType->isVector()) {
-      bail();
+    if (S->DeclaredType->isVector() && !laneType(S->DeclaredType)) {
+      bail("vector of non-primitive lanes", Loc);
       return;
     }
     Decls.push_back({S, S->DeclaredType});
@@ -131,10 +162,6 @@ struct Prepass {
   void walkExpr(const TerraExpr *E) {
     if (!E || Bailed)
       return;
-    if (E->Ty && E->Ty->isVector()) {
-      bail();
-      return;
-    }
     switch (E->kind()) {
     case TerraNode::NK_Lit:
     case TerraNode::NK_Var:
@@ -146,10 +173,11 @@ struct Prepass {
       return;
     case TerraNode::NK_Apply: {
       const auto *A = cast<ApplyExpr>(E);
-      if (!isa<FuncLitExpr>(A->Callee) || A->NumArgs > MaxCallArgs) {
-        bail(); // Indirect call: tree-walker territory.
+      if (A->NumArgs > MaxCallArgs) {
+        bail("call with more than 32 arguments", E->loc());
         return;
       }
+      walkExpr(A->Callee);
       for (unsigned I = 0; I != A->NumArgs; ++I)
         walkExpr(A->Args[I]);
       return;
@@ -169,6 +197,12 @@ struct Prepass {
     }
     case TerraNode::NK_Index: {
       const auto *X = cast<IndexExpr>(E);
+      // Lane registers are selected at compile time, so a vector local
+      // indexed at runtime keeps its lanes in the frame.
+      if (const auto *V = dyn_cast<VarExpr>(X->Base))
+        if (const auto *VT = dyn_cast_or_null<VectorType>(V->Ty))
+          if (constLane(X->Idx, VT->length()) < 0)
+            AddrTaken.insert(V->Sym);
       walkExpr(X->Base);
       walkExpr(X->Idx);
       return;
@@ -189,7 +223,8 @@ struct Prepass {
       return;
     }
     default:
-      bail(); // MethodCall, Escape: never in typechecked trees we accept.
+      // MethodCall, Escape: never in typechecked trees.
+      bail("unexpected expression", E->loc());
       return;
     }
   }
@@ -207,7 +242,7 @@ struct Prepass {
     case TerraNode::NK_VarDecl: {
       const auto *D = cast<VarDeclStmt>(S);
       for (unsigned I = 0; I != D->NumNames; ++I)
-        declare(D->Names[I].Sym);
+        declare(D->Names[I].Sym, S->loc());
       for (unsigned I = 0; I != D->NumInits; ++I)
         walkExpr(D->Inits[I]);
       return;
@@ -237,14 +272,10 @@ struct Prepass {
     }
     case TerraNode::NK_ForNum: {
       const auto *Fo = cast<ForNumStmt>(S);
-      declare(Fo->Var.Sym);
-      // The loop protocol runs on canonical int64; a non-integral loop
-      // variable would need the tree-walker's double round-trip.
-      if (Fo->Var.Sym && Fo->Var.Sym->DeclaredType) {
-        const auto *P = dyn_cast<PrimType>(Fo->Var.Sym->DeclaredType);
-        if (!P || !P->isIntegralPrim())
-          bail();
-      }
+      declare(Fo->Var.Sym, S->loc());
+      if (Fo->Var.Sym && Fo->Var.Sym->DeclaredType &&
+          !isa<PrimType>(Fo->Var.Sym->DeclaredType))
+        bail("non-primitive 'for' variable", S->loc());
       walkExpr(Fo->Lo);
       walkExpr(Fo->Hi);
       walkExpr(Fo->Step);
@@ -260,7 +291,7 @@ struct Prepass {
       walkExpr(cast<ExprStmt>(S)->E);
       return;
     default:
-      bail();
+      bail("unexpected statement", S->loc());
       return;
     }
   }
@@ -270,6 +301,8 @@ struct Prepass {
 // Compiler
 //===----------------------------------------------------------------------===//
 
+/// Storage of one local. A scalar in a register uses Reg; a vector in
+/// registers uses lanes Reg .. Reg + N - 1.
 struct LocalInfo {
   bool InFrame = false;
   uint16_t Reg = 0;
@@ -277,17 +310,24 @@ struct LocalInfo {
   Type *Ty = nullptr;
 };
 
+/// The registers holding the lanes of a vector value, lane 0 first. Lanes
+/// may share a register (a broadcast) or be a local's own lane registers.
+using Lanes = std::vector<int>;
+
 class BCCompiler {
 public:
   BCCompiler(TerraContext &Ctx, const TerraFunction *F) : Ctx(Ctx), Src(F) {}
 
   std::shared_ptr<const Function> run();
 
+  BailSite Why;
+
 private:
   TerraContext &Ctx;
   const TerraFunction *Src;
   Function Out;
   bool Bailed = false;
+  SourceLoc CurLoc; ///< Statement being compiled (bail site).
 
   std::map<const TerraSymbol *, LocalInfo> Locals;
   uint16_t PersistentRegs = 0;
@@ -295,7 +335,9 @@ private:
   uint32_t FrameTop = 0, FrameMax = 0;
   std::vector<std::vector<size_t>> BreakStack;
 
-  int bail() {
+  int bail(const char *Reason = "unsupported construct") {
+    if (!Bailed)
+      Why = {Reason, CurLoc};
     Bailed = true;
     return -1;
   }
@@ -312,7 +354,7 @@ private:
 
   int tempReg() {
     if (RegTop >= 4096)
-      return bail();
+      return bail("register cap");
     uint16_t R = RegTop++;
     if (RegTop > RegMax)
       RegMax = RegTop;
@@ -325,7 +367,7 @@ private:
     if (FrameTop > FrameMax)
       FrameMax = FrameTop;
     if (FrameMax > (1u << 22))
-      bail();
+      bail("frame cap");
     return Off;
   }
 
@@ -358,6 +400,43 @@ private:
   bool emitStore(const Type *Ty, int Addr, int64_t Off, int Val);
   /// Re-canonicalizes the int64 in Src into Dst per PK (storeFromInt+load).
   void emitWrapTo(PrimType::PrimKind PK, int Dst, int Src);
+
+  // One scalar operation on canonical registers; each returns the fresh
+  // result register (-1 on failure). Vector code calls them once per lane.
+  // \p Into, when given, is the result register instead of a fresh one.
+  int emitPrimBinOp(BinOpKind BK, const PrimType *P, int L, int R,
+                    SourceLoc Loc, const BinOpExpr *Facts, int Into = -1);
+  int emitPrimCast(const PrimType *PF, const PrimType *PT, int Srv,
+                   int Into = -1);
+  int emitNeg(PrimType::PrimKind PK, int V, int Into = -1);
+  int emitNot(int V, int Into = -1);
+  int emitMinMax(bool IsMin, PrimType::PrimKind PK, int A, int B,
+                 int Into = -1);
+
+  // Vectors, lowered to lanes.
+  /// The local \p E names when it keeps its lanes in registers.
+  const LocalInfo *laneLocal(const TerraExpr *E) const;
+  /// Whether a vector expression already lives in memory (compileAddr).
+  bool vectorInMemory(const TerraExpr *E) const;
+  /// Lanes of \p E. With \p Into (a lane local's registers), the final
+  /// lane-wise operation writes straight into them when no later lane
+  /// still reads a register it overwrites.
+  bool compileLanes(const TerraExpr *E, Lanes &Out,
+                    const Lanes *Into = nullptr);
+  bool loadLanes(const VectorType *VT, int Addr, Lanes &Out,
+                 const Lanes *Into = nullptr);
+  bool storeLanes(const VectorType *VT, int Addr, const Lanes &L);
+  /// The lane registers of a local that keeps its lanes in registers.
+  static Lanes laneRegs(const LocalInfo &L) {
+    Lanes R(cast<VectorType>(L.Ty)->length());
+    for (size_t I = 0; I != R.size(); ++I)
+      R[I] = L.Reg + static_cast<int>(I);
+    return R;
+  }
+  /// Copies lanes into a local's lane registers (parallel-move safe).
+  bool moveLanes(const LocalInfo &L, Lanes Val);
+  /// Copies lanes held in local registers into fresh temporaries.
+  bool detachLanes(Lanes &L);
 
   int compileScalar(const TerraExpr *E);
   bool compileScalarInto(const TerraExpr *E, int Dst);
@@ -585,6 +664,18 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
 int BCCompiler::compileAggValue(const TerraExpr *E) {
   if (Bailed)
     return -1;
+  if (const auto *VT = dyn_cast_or_null<VectorType>(E->Ty))
+    if (!vectorInMemory(E)) { // Computed lanes: materialize in scratch.
+      Lanes L;
+      if (!compileLanes(E, L))
+        return -1;
+      uint32_t Off = allocScratch(VT->size());
+      int A = tempReg();
+      if (A < 0 || Bailed)
+        return -1;
+      emit(Op::FrameAddr, static_cast<uint16_t>(A), 0, 0, Off);
+      return storeLanes(VT, A, L) ? A : -1;
+    }
   switch (E->kind()) {
   case TerraNode::NK_Constructor: {
     uint32_t Off = allocScratch(E->Ty->size());
@@ -619,6 +710,11 @@ bool BCCompiler::compileAggInto(const TerraExpr *E, int DstAddr,
                                 const Type *Ty) {
   if (DstAddr < 0 || Bailed)
     return false;
+  if (const auto *VT = dyn_cast<VectorType>(Ty))
+    if (!vectorInMemory(E)) {
+      Lanes L;
+      return compileLanes(E, L) && storeLanes(VT, DstAddr, L);
+    }
   if (const auto *C = dyn_cast<ConstructorExpr>(E)) {
     const auto *ST = dyn_cast<StructType>(C->Ty);
     if (!ST)
@@ -660,16 +756,215 @@ bool BCCompiler::compileAggInto(const TerraExpr *E, int DstAddr,
 }
 
 //===----------------------------------------------------------------------===//
+// Vectors: each operation becomes one scalar op per lane
+//===----------------------------------------------------------------------===//
+
+const LocalInfo *BCCompiler::laneLocal(const TerraExpr *E) const {
+  const auto *V = dyn_cast<VarExpr>(E);
+  if (!V || !laneType(E->Ty))
+    return nullptr;
+  auto It = Locals.find(V->Sym);
+  return It != Locals.end() && !It->second.InFrame ? &It->second : nullptr;
+}
+
+bool BCCompiler::vectorInMemory(const TerraExpr *E) const {
+  switch (E->kind()) {
+  case TerraNode::NK_Var:
+    return !laneLocal(E);
+  case TerraNode::NK_GlobalRef:
+  case TerraNode::NK_Select:
+  case TerraNode::NK_Index:
+  case TerraNode::NK_Apply:
+    return true;
+  case TerraNode::NK_UnOp:
+    return cast<UnOpExpr>(E)->Op == UnOpKind::Deref;
+  default:
+    return false;
+  }
+}
+
+bool BCCompiler::loadLanes(const VectorType *VT, int Addr, Lanes &Out,
+                           const Lanes *Into) {
+  Out.clear();
+  if (Addr < 0)
+    return false;
+  if (Into && std::find(Into->begin(), Into->end(), Addr) != Into->end())
+    Into = nullptr; // The address itself is a destination lane.
+  const Type *ET = VT->element();
+  for (uint64_t I = 0; I != VT->length(); ++I) {
+    int D = Into ? (*Into)[I] : tempReg();
+    if (D < 0 || !emitLoad(D, ET, Addr, static_cast<int64_t>(I * ET->size())))
+      return false;
+    Out.push_back(D);
+  }
+  return true;
+}
+
+bool BCCompiler::storeLanes(const VectorType *VT, int Addr, const Lanes &L) {
+  const Type *ET = VT->element();
+  for (uint64_t I = 0; I != VT->length(); ++I)
+    if (!emitStore(ET, Addr, static_cast<int64_t>(I * ET->size()), L[I]))
+      return false;
+  return true;
+}
+
+bool BCCompiler::detachLanes(Lanes &L) {
+  for (size_t I = 0; I != L.size(); ++I) {
+    int Old = L[I];
+    if (Old >= PersistentRegs)
+      continue; // Already a temporary.
+    int T = tempReg();
+    if (T < 0)
+      return false;
+    emit(Op::Mov, static_cast<uint16_t>(T), static_cast<uint16_t>(Old));
+    for (size_t J = I; J != L.size(); ++J)
+      if (L[J] == Old)
+        L[J] = T;
+  }
+  return true;
+}
+
+bool BCCompiler::moveLanes(const LocalInfo &L, Lanes Val) {
+  int Lo = L.Reg, Hi = L.Reg + static_cast<int>(Val.size());
+  // Lane I is written before lane J > I reads its source: a source inside
+  // the destination at another position must be copied out first.
+  for (size_t I = 0; I != Val.size(); ++I)
+    if (Val[I] >= Lo && Val[I] < Hi && Val[I] != Lo + static_cast<int>(I)) {
+      if (!detachLanes(Val))
+        return false;
+      break;
+    }
+  for (size_t I = 0; I != Val.size(); ++I)
+    if (Val[I] != Lo + static_cast<int>(I))
+      emit(Op::Mov, static_cast<uint16_t>(Lo + I),
+           static_cast<uint16_t>(Val[I]));
+  return true;
+}
+
+bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
+                              const Lanes *Into) {
+  const PrimType *EP = laneType(E->Ty);
+  if (Bailed || !EP)
+    return bail() >= 0;
+  const auto *VT = cast<VectorType>(E->Ty);
+  unsigned N = static_cast<unsigned>(VT->length());
+  Out.clear();
+  if (const LocalInfo *L = laneLocal(E)) {
+    Out = laneRegs(*L);
+    return true;
+  }
+  // Applies LaneOp over operand lanes A (and B), into Into's
+  // registers unless writing lane I would clobber an operand lane J > I.
+  auto EachLane = [&](const Lanes &A, const Lanes *B, auto LaneOp) {
+    const Lanes *Dst = Into;
+    for (unsigned I = 0; Dst && I != N; ++I)
+      for (unsigned J = I + 1; Dst && J != N; ++J)
+        if (A[J] == (*Dst)[I] || (B && (*B)[J] == (*Dst)[I]))
+          Dst = nullptr;
+    for (unsigned I = 0; I != N; ++I) {
+      int D = LaneOp(A[I], B ? (*B)[I] : -1, Dst ? (*Dst)[I] : -1);
+      if (D < 0)
+        return false;
+      Out.push_back(D);
+    }
+    return true;
+  };
+  switch (E->kind()) {
+  case TerraNode::NK_BinOp: {
+    const auto *B = cast<BinOpExpr>(E);
+    const PrimType *OP = laneType(B->LHS->Ty);
+    Lanes L, R;
+    if (!OP || !laneType(B->RHS->Ty))
+      return bail() >= 0;
+    if (!compileLanes(B->LHS, L) || !compileLanes(B->RHS, R))
+      return false;
+    return EachLane(L, &R, [&](int X, int Y, int D) {
+      return emitPrimBinOp(B->Op, OP, X, Y, E->loc(), nullptr, D);
+    });
+  }
+  case TerraNode::NK_UnOp: {
+    const auto *U = cast<UnOpExpr>(E);
+    if (U->Op == UnOpKind::Deref)
+      break; // In memory.
+    if (U->Op != UnOpKind::Neg && U->Op != UnOpKind::Not)
+      return bail() >= 0;
+    Lanes V;
+    if (!compileLanes(U->Operand, V))
+      return false;
+    return EachLane(V, nullptr, [&](int X, int, int D) {
+      return U->Op == UnOpKind::Neg ? emitNeg(EP->primKind(), X, D)
+                                    : emitNot(X, D);
+    });
+  }
+  case TerraNode::NK_Cast: {
+    const auto *C = cast<CastExpr>(E);
+    const Type *From = C->Operand->Ty;
+    if (const PrimType *FP = laneType(From)) { // Lane-wise conversion.
+      Lanes V;
+      if (!compileLanes(C->Operand, V))
+        return false;
+      return EachLane(V, nullptr, [&](int X, int, int D) {
+        return FP == EP ? X : emitPrimCast(FP, EP, X, D);
+      });
+    }
+    const auto *FP = dyn_cast_or_null<PrimType>(From);
+    if (!FP)
+      return bail() >= 0;
+    int V = compileScalar(C->Operand); // Broadcast.
+    if (V >= 0 && FP != EP)
+      V = emitPrimCast(FP, EP, V);
+    if (V < 0)
+      return false;
+    Out.assign(N, V);
+    return true;
+  }
+  case TerraNode::NK_Intrinsic: {
+    const auto *In = cast<IntrinsicExpr>(E);
+    if ((In->IK != IntrinsicKind::Min && In->IK != IntrinsicKind::Max) ||
+        In->NumArgs != 2)
+      return bail() >= 0;
+    Lanes A, B;
+    if (!compileLanes(In->Args[0], A) || !compileLanes(In->Args[1], B))
+      return false;
+    return EachLane(A, &B, [&](int X, int Y, int D) {
+      return emitMinMax(In->IK == IntrinsicKind::Min, EP->primKind(), X, Y,
+                        D);
+    });
+  }
+  case TerraNode::NK_Apply:
+    return loadLanes(VT, compileCall(cast<ApplyExpr>(E)), Out, Into);
+  case TerraNode::NK_Var:
+  case TerraNode::NK_GlobalRef:
+  case TerraNode::NK_Select:
+  case TerraNode::NK_Index:
+    break;
+  default:
+    return bail() >= 0;
+  }
+  return loadLanes(VT, compileAddr(E), Out, Into);
+}
+
+//===----------------------------------------------------------------------===//
 // Calls
 //===----------------------------------------------------------------------===//
 
 int BCCompiler::compileCall(const ApplyExpr *A) {
-  const auto *FL = dyn_cast<FuncLitExpr>(A->Callee);
-  if (!FL || !FL->Fn || A->NumArgs > MaxCallArgs)
-    return bail();
+  if (A->NumArgs > MaxCallArgs)
+    return bail("call with more than 32 arguments");
   CallSite CS;
-  CS.Callee = FL->Fn;
   CS.Loc = A->loc();
+  if (const auto *FL = dyn_cast<FuncLitExpr>(A->Callee)) {
+    if (!FL->Fn)
+      return bail();
+    CS.Callee = FL->Fn;
+  } else {
+    // Indirect: the function value is evaluated before the arguments, as
+    // the tree-walker does, and resolved to its callee when the call runs.
+    int V = compileScalar(A->Callee);
+    if (V < 0)
+      return -1;
+    CS.CalleeReg = static_cast<uint16_t>(V);
+  }
   for (unsigned I = 0; I != A->NumArgs; ++I) {
     const TerraExpr *Arg = A->Args[I];
     if (!Arg->Ty)
@@ -783,12 +1078,20 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
   const auto *P = dyn_cast<PrimType>(OpTy);
   if (!P)
     return bail();
-  PrimType::PrimKind PK = P->primKind();
   int L = compileScalar(B->LHS);
   int R = compileScalar(B->RHS);
   if (L < 0 || R < 0)
     return -1;
-  int Dst = tempReg();
+  return emitPrimBinOp(B->Op, P, L, R, E->loc(), B);
+}
+
+/// \p Facts is the scalar source node whose interval facts may elide the
+/// div/shift guards; vector lanes pass null and always keep their guards.
+int BCCompiler::emitPrimBinOp(BinOpKind BK, const PrimType *P, int L, int R,
+                              SourceLoc Loc, const BinOpExpr *Facts,
+                              int Into) {
+  PrimType::PrimKind PK = P->primKind();
+  int Dst = Into >= 0 ? Into : tempReg();
   if (Dst < 0)
     return -1;
   uint16_t D = static_cast<uint16_t>(Dst), UL = static_cast<uint16_t>(L),
@@ -796,7 +1099,7 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
 
   if (isFloatPK(PK)) {
     bool F32 = PK == PrimType::Float32;
-    switch (B->Op) {
+    switch (BK) {
     case BinOpKind::Add:
       emit(F32 ? Op::AddF32 : Op::AddF, D, UL, UR);
       return Dst;
@@ -832,7 +1135,7 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
     }
   }
   if (PK == PrimType::Bool) {
-    switch (B->Op) {
+    switch (BK) {
     case BinOpKind::Eq:
       emit(Op::EqI, D, UL, UR);
       return Dst;
@@ -845,7 +1148,7 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
   }
 
   bool Signed = isSignedPK(PK);
-  switch (B->Op) {
+  switch (BK) {
   case BinOpKind::Add:
     emit(Op::AddI, D, UL, UR);
     emitWrapTo(PK, Dst, Dst);
@@ -859,25 +1162,25 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
     emitWrapTo(PK, Dst, Dst);
     return Dst;
   case BinOpKind::Div:
-    if (!provenNonZeroDivisor(B))
+    if (!(Facts && provenNonZeroDivisor(Facts)))
       emit(Op::TrapIfZero, UR, 0, 0,
-           trapIdx("integer division by zero", E->loc()));
+           trapIdx("integer division by zero", Loc));
     emit(Signed ? Op::DivI : Op::DivU, D, UL, UR);
     emitWrapTo(PK, Dst, Dst);
     return Dst;
   case BinOpKind::Mod:
-    if (!provenNonZeroDivisor(B))
+    if (!(Facts && provenNonZeroDivisor(Facts)))
       emit(Op::TrapIfZero, UR, 0, 0,
-           trapIdx("integer modulo by zero", E->loc()));
+           trapIdx("integer modulo by zero", Loc));
     emit(Signed ? Op::ModI : Op::ModU, D, UL, UR);
     emitWrapTo(PK, Dst, Dst);
     return Dst;
   case BinOpKind::Shl:
   case BinOpKind::Shr:
-    if (!provenInRangeShift(B))
+    if (!(Facts && provenInRangeShift(Facts)))
       emit(Op::TrapIfShiftGE, UR, static_cast<uint16_t>(P->size() * 8), 0,
-           trapIdx("shift amount out of range", E->loc()));
-    if (B->Op == BinOpKind::Shl)
+           trapIdx("shift amount out of range", Loc));
+    if (BK == BinOpKind::Shl)
       emit(Op::ShlI, D, UL, UR);
     else
       emit(Signed ? Op::ShrI : Op::ShrU, D, UL, UR);
@@ -939,14 +1242,21 @@ int BCCompiler::compileCast(const CastExpr *C) {
   const auto *PT = dyn_cast<PrimType>(To);
   if (!PF || !PT)
     return bail();
-  PrimType::PrimKind FK = PF->primKind(), TK = PT->primKind();
   int Srv = compileScalar(C->Operand);
   if (Srv < 0)
     return -1;
+  return emitPrimCast(PF, PT, Srv);
+}
+
+/// Converts between distinct primitive types as castScalar does:
+/// integers (and bool) through int64, floats through double.
+int BCCompiler::emitPrimCast(const PrimType *PF, const PrimType *PT,
+                             int Srv, int Into) {
+  PrimType::PrimKind FK = PF->primKind(), TK = PT->primKind();
   uint16_t S = static_cast<uint16_t>(Srv);
 
   if (PF->isIntegralPrim() || FK == PrimType::Bool) {
-    int Dst = tempReg();
+    int Dst = Into >= 0 ? Into : tempReg();
     if (Dst < 0)
       return -1;
     uint16_t D = static_cast<uint16_t>(Dst);
@@ -964,7 +1274,7 @@ int BCCompiler::compileCast(const CastExpr *C) {
   if (isFloatPK(FK)) {
     // Widen a float source to double first (exact), as loadAsDouble does.
     if (FK == PrimType::Float32) {
-      int W = tempReg();
+      int W = TK == PrimType::Float64 && Into >= 0 ? Into : tempReg();
       if (W < 0)
         return -1;
       emit(Op::F32ToF, static_cast<uint16_t>(W), S);
@@ -973,7 +1283,7 @@ int BCCompiler::compileCast(const CastExpr *C) {
       if (TK == PrimType::Float64)
         return Srv;
     }
-    int Dst = tempReg();
+    int Dst = Into >= 0 ? Into : tempReg();
     if (Dst < 0)
       return -1;
     uint16_t D = static_cast<uint16_t>(Dst);
@@ -1013,6 +1323,49 @@ int BCCompiler::compileCast(const CastExpr *C) {
     }
   }
   return bail();
+}
+
+int BCCompiler::emitNeg(PrimType::PrimKind PK, int V, int Into) {
+  int Dst = Into >= 0 ? Into : tempReg();
+  if (Dst < 0)
+    return -1;
+  uint16_t D = static_cast<uint16_t>(Dst), S = static_cast<uint16_t>(V);
+  if (PK == PrimType::Float64) {
+    emit(Op::NegF, D, S);
+  } else if (PK == PrimType::Float32) {
+    emit(Op::NegF32, D, S);
+  } else {
+    emit(Op::NegI, D, S);
+    emitWrapTo(PK, Dst, Dst);
+  }
+  return Dst;
+}
+
+int BCCompiler::emitNot(int V, int Into) {
+  int Dst = Into >= 0 ? Into : tempReg();
+  if (Dst < 0)
+    return -1;
+  emit(Op::NotB, static_cast<uint16_t>(Dst), static_cast<uint16_t>(V));
+  return Dst;
+}
+
+int BCCompiler::emitMinMax(bool IsMin, PrimType::PrimKind PK, int A, int B,
+                           int Into) {
+  int Dst = Into >= 0 ? Into : tempReg();
+  if (Dst < 0)
+    return -1;
+  Op O;
+  // The tree-walker compares all integer kinds through signed loadAsInt,
+  // so unsigned min/max also compare signed here.
+  if (PK == PrimType::Float64)
+    O = IsMin ? Op::MinF : Op::MaxF;
+  else if (PK == PrimType::Float32)
+    O = IsMin ? Op::MinF32 : Op::MaxF32;
+  else
+    O = IsMin ? Op::MinI : Op::MaxI;
+  emit(O, static_cast<uint16_t>(Dst), static_cast<uint16_t>(A),
+       static_cast<uint16_t>(B));
+  return Dst;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1136,6 +1489,15 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
   }
   case TerraNode::NK_Index: {
     const auto *X = cast<IndexExpr>(E);
+    if (const auto *VT = dyn_cast<VectorType>(X->Base->Ty)) {
+      int Lane = constLane(X->Idx, VT->length());
+      if (const LocalInfo *L = laneLocal(X->Base))
+        return Lane < 0 ? bail() : L->Reg + Lane;
+      if (Lane >= 0 && !vectorInMemory(X->Base)) {
+        Lanes V;
+        return compileLanes(X->Base, V) ? V[Lane] : -1;
+      }
+    }
     if (X->Base->IsLValue || X->Base->Ty->isPointer()) {
       int A = compileAddr(E);
       int Dst = tempReg();
@@ -1191,30 +1553,14 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
     }
     case UnOpKind::Not: {
       int V = compileScalar(U->Operand);
-      int Dst = tempReg();
-      if (V < 0 || Dst < 0)
-        return -1;
-      emit(Op::NotB, static_cast<uint16_t>(Dst), static_cast<uint16_t>(V));
-      return Dst;
+      return V < 0 ? -1 : emitNot(V);
     }
     case UnOpKind::Neg: {
       const auto *P = dyn_cast<PrimType>(E->Ty);
       if (!P)
         return bail();
       int V = compileScalar(U->Operand);
-      int Dst = tempReg();
-      if (V < 0 || Dst < 0)
-        return -1;
-      uint16_t D = static_cast<uint16_t>(Dst), S = static_cast<uint16_t>(V);
-      if (P->primKind() == PrimType::Float64) {
-        emit(Op::NegF, D, S);
-      } else if (P->primKind() == PrimType::Float32) {
-        emit(Op::NegF32, D, S);
-      } else {
-        emit(Op::NegI, D, S);
-        emitWrapTo(P->primKind(), Dst, Dst);
-      }
-      return Dst;
+      return V < 0 ? -1 : emitNeg(P->primKind(), V);
     }
     }
     return bail();
@@ -1247,22 +1593,9 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
         return bail();
       int A = compileScalar(N->Args[0]);
       int B = compileScalar(N->Args[1]);
-      int Dst = tempReg();
-      if (A < 0 || B < 0 || Dst < 0)
+      if (A < 0 || B < 0)
         return -1;
-      bool IsMin = N->IK == IntrinsicKind::Min;
-      Op O;
-      // The tree-walker compares all integer kinds through signed
-      // loadAsInt, so unsigned min/max also compare signed here.
-      if (P->primKind() == PrimType::Float64)
-        O = IsMin ? Op::MinF : Op::MaxF;
-      else if (P->primKind() == PrimType::Float32)
-        O = IsMin ? Op::MinF32 : Op::MaxF32;
-      else
-        O = IsMin ? Op::MinI : Op::MaxI;
-      emit(O, static_cast<uint16_t>(Dst), static_cast<uint16_t>(A),
-           static_cast<uint16_t>(B));
-      return Dst;
+      return emitMinMax(N->IK == IntrinsicKind::Min, P->primKind(), A, B);
     }
     case IntrinsicKind::Prefetch:
       // Evaluate the address for effect parity, then ignore (the VM has no
@@ -1292,6 +1625,16 @@ bool BCCompiler::compileScalarInto(const TerraExpr *E, int Dst) {
 bool BCCompiler::storeToLValue(const TerraExpr *L, int Val) {
   if (Val < 0)
     return false;
+  if (const auto *X = dyn_cast<IndexExpr>(L))
+    if (const LocalInfo *LL = laneLocal(X->Base)) {
+      int Lane = constLane(X->Idx, cast<VectorType>(LL->Ty)->length());
+      if (Lane < 0)
+        return bail() >= 0;
+      if (LL->Reg + Lane != Val)
+        emit(Op::Mov, static_cast<uint16_t>(LL->Reg + Lane),
+             static_cast<uint16_t>(Val));
+      return true;
+    }
   if (const auto *V = dyn_cast<VarExpr>(L)) {
     auto It = Locals.find(V->Sym);
     if (It == Locals.end())
@@ -1323,6 +1666,7 @@ bool BCCompiler::compileBlock(const BlockStmt *B) {
 bool BCCompiler::compileStmt(const TerraStmt *S) {
   if (Bailed)
     return false;
+  CurLoc = S->loc();
   switch (S->kind()) {
   case TerraNode::NK_Block:
     return compileBlock(cast<BlockStmt>(S));
@@ -1335,7 +1679,11 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
       LocalInfo &L = It->second;
       Mark M = mark();
       if (I < D->NumInits) {
-        if (!L.InFrame) {
+        if (!L.InFrame && L.Ty->isVector()) {
+          Lanes V, Own = laneRegs(L);
+          if (!compileLanes(D->Inits[I], V, &Own) || !moveLanes(L, V))
+            return false;
+        } else if (!L.InFrame) {
           if (!compileScalarInto(D->Inits[I], L.Reg))
             return false;
         } else if (isScalarTy(L.Ty)) {
@@ -1356,7 +1704,10 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
         }
       } else {
         if (!L.InFrame) {
-          emit(Op::ConstI, L.Reg, 0, 0, 0);
+          uint64_t N =
+              L.Ty->isVector() ? cast<VectorType>(L.Ty)->length() : 1;
+          for (uint64_t K = 0; K != N; ++K)
+            emit(Op::ConstI, static_cast<uint16_t>(L.Reg + K), 0, 0, 0);
         } else {
           int A = tempReg();
           if (A < 0)
@@ -1378,15 +1729,25 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
     struct RV {
       bool Scalar;
       int Reg;
+      Lanes Vec; ///< Vector values stay in lane registers.
     };
     std::vector<RV> Vals;
     for (unsigned I = 0; I != A->NumRHS; ++I) {
       const TerraExpr *R = A->RHS[I];
-      if (isScalarTy(R->Ty)) {
+      if (laneType(R->Ty)) {
+        // A single store may write the destination lanes directly.
+        const LocalInfo *Target =
+            A->NumLHS == 1 ? laneLocal(A->LHS[0]) : nullptr;
+        Lanes V, Own = Target ? laneRegs(*Target) : Lanes();
+        if (!compileLanes(R, V, Target ? &Own : nullptr) ||
+            (A->NumRHS > 1 && !detachLanes(V)))
+          return false;
+        Vals.push_back({false, -1, std::move(V)});
+      } else if (isScalarTy(R->Ty)) {
         int T = tempReg();
         if (T < 0 || !compileScalarInto(R, T))
           return false;
-        Vals.push_back({true, T});
+        Vals.push_back({true, T, {}});
       } else {
         int V = compileAggValue(R);
         if (V < 0)
@@ -1398,12 +1759,20 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
         emit(Op::FrameAddr, static_cast<uint16_t>(T), 0, 0, Off);
         emit(Op::MemCpy, static_cast<uint16_t>(T), static_cast<uint16_t>(V),
              0, static_cast<int64_t>(R->Ty->size()));
-        Vals.push_back({false, T});
+        Vals.push_back({false, T, {}});
       }
     }
     for (unsigned I = 0; I != A->NumLHS; ++I) {
       const TerraExpr *L = A->LHS[I];
-      if (Vals[I].Scalar) {
+      if (!Vals[I].Vec.empty()) {
+        if (const LocalInfo *LL = laneLocal(L)) {
+          if (!moveLanes(*LL, Vals[I].Vec))
+            return false;
+        } else if (!storeLanes(cast<VectorType>(L->Ty), compileAddr(L),
+                               Vals[I].Vec)) {
+          return false;
+        }
+      } else if (Vals[I].Scalar) {
         if (!storeToLValue(L, Vals[I].Reg))
           return false;
       } else {
@@ -1460,20 +1829,32 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
       return bail() >= 0;
     LocalInfo &L = It->second;
     const auto *P = dyn_cast<PrimType>(L.Ty);
-    if (!P || !P->isIntegralPrim())
+    if (!P)
       return bail() >= 0;
     PrimType::PrimKind PK = P->primKind();
+    // The loop counts in int64. Lo/Hi/Step are typed as the loop variable:
+    // integral registers already hold the int64 values loadAsInt would
+    // produce; a float variable counts on their truncated values and
+    // round-trips through the variable each iteration, as the tree-walker
+    // does.
+    bool FloatVar = isFloatPK(PK);
+    Op ToVar = PK == PrimType::Float32 ? Op::I2F32 : Op::I2F;
+    const auto *I64 = cast<PrimType>(Ctx.types().int64());
+    auto CountInto = [&](const TerraExpr *X, int Dst) {
+      if (!FloatVar)
+        return compileScalarInto(X, Dst);
+      int V = compileScalar(X);
+      return V >= 0 && emitPrimCast(P, I64, V, Dst) >= 0;
+    };
 
     int IReg = tempReg(), HiReg = tempReg(), StepReg = tempReg(),
         CondReg = tempReg();
     if (CondReg < 0)
       return false;
-    // Lo/Hi/Step are typed as the loop variable; their canonical register
-    // forms already hold the int64 values loadAsInt would produce.
-    if (!compileScalarInto(Fo->Lo, IReg) || !compileScalarInto(Fo->Hi, HiReg))
+    if (!CountInto(Fo->Lo, IReg) || !CountInto(Fo->Hi, HiReg))
       return false;
     if (Fo->Step) {
-      if (!compileScalarInto(Fo->Step, StepReg))
+      if (!CountInto(Fo->Step, StepReg))
         return false;
       emit(Op::TrapIfZero, static_cast<uint16_t>(StepReg), 0, 0,
            trapIdx("'for' step is zero", S->loc()));
@@ -1487,15 +1868,20 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
     size_t Exit = emit(Op::JmpIfFalse, static_cast<uint16_t>(CondReg), 0, 0,
                        -1);
     // Publish the canonical counter into the loop variable.
-    if (!L.InFrame) {
+    if (!L.InFrame && FloatVar) {
+      emit(ToVar, L.Reg, static_cast<uint16_t>(IReg));
+    } else if (!L.InFrame) {
       emitWrapTo(PK, L.Reg, IReg);
     } else {
       Mark M = mark();
       int A = tempReg();
-      if (A < 0)
+      int V = FloatVar ? tempReg() : IReg;
+      if (A < 0 || V < 0)
         return false;
+      if (FloatVar)
+        emit(ToVar, static_cast<uint16_t>(V), static_cast<uint16_t>(IReg));
       emit(Op::FrameAddr, static_cast<uint16_t>(A), 0, 0, L.FrameOff);
-      if (!emitStore(L.Ty, A, 0, IReg))
+      if (!emitStore(L.Ty, A, 0, V))
         return false;
       release(M);
     }
@@ -1503,16 +1889,22 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
     if (!compileBlock(Fo->Body))
       return false;
     // Reload (body may mutate the variable), then advance.
-    if (!L.InFrame) {
+    if (!L.InFrame && !FloatVar) {
       emit(Op::AddI, static_cast<uint16_t>(IReg), L.Reg,
            static_cast<uint16_t>(StepReg));
     } else {
       Mark M = mark();
-      int A = tempReg(), V = tempReg();
-      if (V < 0)
-        return false;
-      emit(Op::FrameAddr, static_cast<uint16_t>(A), 0, 0, L.FrameOff);
-      if (!emitLoad(V, L.Ty, A, 0))
+      int V = L.Reg;
+      if (L.InFrame) {
+        int A = tempReg();
+        V = tempReg();
+        if (V < 0)
+          return false;
+        emit(Op::FrameAddr, static_cast<uint16_t>(A), 0, 0, L.FrameOff);
+        if (!emitLoad(V, L.Ty, A, 0))
+          return false;
+      }
+      if (FloatVar && (V = emitPrimCast(P, I64, V)) < 0)
         return false;
       emit(Op::AddI, static_cast<uint16_t>(IReg), static_cast<uint16_t>(V),
            static_cast<uint16_t>(StepReg));
@@ -1573,27 +1965,37 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
 std::shared_ptr<const Function> BCCompiler::run() {
   if (!Src->Body || !Src->FnTy || Src->IsExtern || Src->HostClosure)
     return nullptr;
-  if (Src->NumParams > MaxCallArgs)
+  if (Src->NumParams > MaxCallArgs) {
+    Why = {"more than 32 parameters", Src->Body->loc()};
     return nullptr;
+  }
 
   Prepass Pre;
   for (unsigned I = 0; I != Src->NumParams; ++I)
-    Pre.declare(Src->Params[I]);
+    Pre.declare(Src->Params[I], Src->Body->loc());
   Pre.walkStmt(Src->Body);
-  if (Pre.Bailed)
+  if (Pre.Bailed) {
+    Why = Pre.Why;
     return nullptr;
+  }
 
-  // Assign storage: scalars that never have their address taken live in
-  // registers; everything else lives in the byte-addressed frame.
+  // Assign storage: scalars and vectors that never have their address
+  // taken live in registers (one per lane); everything else lives in the
+  // byte-addressed frame.
   for (auto &D : Pre.Decls) {
     if (Locals.count(D.first))
       continue;
     LocalInfo L;
     L.Ty = D.second;
-    if (isScalarTy(D.second) && !Pre.AddrTaken.count(D.first)) {
-      if (PersistentRegs >= 4000)
+    bool Vec = laneType(D.second) != nullptr;
+    if ((isScalarTy(D.second) || Vec) && !Pre.AddrTaken.count(D.first)) {
+      unsigned N = Vec ? cast<VectorType>(D.second)->length() : 1;
+      if (PersistentRegs + N > 4000) {
+        Why = {"register cap", Src->Body->loc()};
         return nullptr;
-      L.Reg = PersistentRegs++;
+      }
+      L.Reg = PersistentRegs;
+      PersistentRegs += N;
     } else {
       L.InFrame = true;
       L.FrameOff = allocScratch(D.second->size());
@@ -1614,6 +2016,20 @@ std::shared_ptr<const Function> BCCompiler::run() {
     P.InFrame = L.InFrame;
     P.Reg = L.Reg;
     P.FrameOff = L.FrameOff;
+    if (!L.InFrame && P.Ty->isVector()) {
+      // Vector arguments arrive in the frame; load them into their lanes.
+      P.InFrame = true;
+      P.FrameOff = allocScratch(P.Ty->size());
+      Mark M = mark();
+      Lanes V, Own = laneRegs(L);
+      int A = tempReg();
+      if (A < 0)
+        return nullptr;
+      emit(Op::FrameAddr, static_cast<uint16_t>(A), 0, 0, P.FrameOff);
+      if (!loadLanes(cast<VectorType>(P.Ty), A, V, &Own))
+        return nullptr;
+      release(M);
+    }
     Out.Params.push_back(P);
   }
   Type *RT = Src->FnTy->result();
@@ -1659,9 +2075,16 @@ const char *opName(Op O) {
 }
 
 std::shared_ptr<const Function> compile(TerraContext &Ctx,
-                                        const TerraFunction *F) {
+                                        const TerraFunction *F,
+                                        BailSite *Why) {
   BCCompiler C(Ctx, F);
-  return C.run();
+  std::shared_ptr<const Function> Out = C.run();
+  if (!Out && Why) {
+    *Why = C.Why;
+    if (Why->Reason.empty())
+      Why->Reason = "unsupported construct";
+  }
+  return Out;
 }
 
 std::string disassemble(const Function &F) {
@@ -1675,8 +2098,12 @@ std::string disassemble(const Function &F) {
     if (In.Code == Op::Call &&
         static_cast<size_t>(In.Imm) < F.Calls.size()) {
       const CallSite &CS = F.Calls[In.Imm];
-      OS << " ; call " << (CS.Callee ? CS.Callee->Name : "?") << "/"
-         << CS.Args.size();
+      OS << " ; call ";
+      if (CS.Callee)
+        OS << CS.Callee->Name;
+      else
+        OS << "*r" << CS.CalleeReg; // Indirect: the function value's register.
+      OS << "/" << CS.Args.size();
     }
     if ((In.Code == Op::Trap || In.Code == Op::TrapIfNull ||
          In.Code == Op::TrapIfZero || In.Code == Op::TrapIfShiftGE) &&

@@ -18,10 +18,16 @@
 //                        the plain interp backend, or the promoted machine
 //                        address under tiered execution — see Op::FnLit)
 //
-// The compiler is deliberately partial: functions using vector types or
-// indirect calls (callee is a runtime value rather than a function literal)
-// return null from compile() and fall back to the tree-walker, so coverage
-// gaps cost speed, never correctness.
+// Vectors have no opcodes of their own: the compiler lowers each
+// vector(T,N) operation to N scalar ops over lane registers (one canonical
+// slot per lane). Vector locals whose address is never taken, and that are
+// only indexed by constants, keep their lanes in registers; every other
+// vector value lives in the frame like an aggregate.
+//
+// The compiler is partial only at its size limits (more than MaxCallArgs
+// call arguments or parameters, the register and frame caps): compile()
+// then returns null, names the bail site, and the caller falls back to the
+// tree-walker, so coverage gaps cost speed, never correctness.
 //
 //===----------------------------------------------------------------------===//
 
@@ -222,7 +228,11 @@ enum class RetKind : uint8_t {
 /// One out-of-line call site (Terra-to-Terra, extern, or host closure).
 /// Kept out of the instruction stream so Insn stays fixed-width.
 struct CallSite {
+  /// The static callee; null for an indirect call, whose function value
+  /// (a TerraFunction*, or its promoted machine address under tiered
+  /// execution) is read from CalleeReg when the call executes.
   TerraFunction *Callee = nullptr;
+  uint16_t CalleeReg = 0xFFFF;
   /// Per-argument: source register and whether it holds the value address
   /// (aggregates) rather than the value itself (scalars).
   struct Arg {
@@ -263,12 +273,21 @@ struct Function {
   std::vector<std::pair<std::string, SourceLoc>> Traps;
 };
 
+/// Where and why compile() gave up on a function.
+struct BailSite {
+  std::string Reason;
+  SourceLoc Loc;
+};
+
 /// Compiles a typechecked, midend-run function to bytecode. Returns null
-/// when the function uses a construct the bytecode engine does not model
-/// (vectors, indirect calls, >32 call arguments); the caller falls back to
-/// the tree-walker. Never reports diagnostics.
+/// when the function exceeds a bytecode size limit (>32 call arguments or
+/// parameters, register or frame caps) or uses a construct the compiler
+/// does not model; the caller falls back to the tree-walker. The first
+/// bail site is stored through \p Why when given. Never reports
+/// diagnostics.
 std::shared_ptr<const Function> compile(TerraContext &Ctx,
-                                        const TerraFunction *F);
+                                        const TerraFunction *F,
+                                        BailSite *Why = nullptr);
 
 /// Human-readable disassembly (tests, --dump-bytecode debugging).
 std::string disassemble(const Function &F);

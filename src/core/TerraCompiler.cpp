@@ -4,7 +4,6 @@
 #include "core/CBackend.h"
 #include "core/LuaInterp.h"
 #include "core/TerraBaselineJIT.h"
-#include "core/TerraBytecode.h"
 #include "core/TerraInterpBackend.h"
 #include "core/TerraPasses.h"
 #include "core/TerraType.h"
@@ -155,8 +154,7 @@ void TerraCompiler::installTier0(std::string Source, bool Cacheable,
                                  const std::vector<TerraFunction *> &Component) {
   Tiers->registerComponent(std::move(Source), Cacheable, Component);
   for (TerraFunction *Fn : Component) {
-    if (!Fn->Bytecode && !Fn->HostClosure)
-      Fn->Bytecode = bytecode::compile(Ctx, Fn);
+    InterpBackend->compileBytecode(Fn);
     if (Fn->Entry || !Fn->Tier)
       continue; // dispatcher already installed, or pre-tiering native code
     std::shared_ptr<TierState> TS = Fn->Tier;

@@ -6,6 +6,7 @@
 #include "core/TerraJIT.h"
 #include "core/TerraType.h"
 #include "core/TerraVM.h"
+#include "support/Log.h"
 
 #include <cmath>
 #include <cstdlib>
@@ -639,10 +640,13 @@ bool TEval::evalExpr(const TerraExpr *E, void *Dst) {
       return true;
     }
     case UnOpKind::Not: {
-      uint8_t B;
-      if (!evalExpr(U->Operand, &B))
+      // Bool lanes are one byte each; a scalar bool is one lane.
+      uint64_t N = U->Ty->size();
+      auto *B = static_cast<uint8_t *>(temp(N));
+      if (!evalExpr(U->Operand, B))
         return false;
-      *static_cast<uint8_t *>(Dst) = B ? 0 : 1;
+      for (uint64_t I = 0; I != N; ++I)
+        static_cast<uint8_t *>(Dst)[I] = B[I] ? 0 : 1;
       return true;
     }
     case UnOpKind::Neg: {
@@ -918,7 +922,9 @@ TerraInterpBackend::TerraInterpBackend(TerraContext &Ctx,
                                        TerraCompiler &Compiler, InterpKind Kind)
     : Ctx(Ctx), Compiler(Compiler), ForceTree(Kind == InterpKind::Tree),
       MDispatchUs(Compiler.jit().metrics().histogram("vm.dispatch_us")),
-      MBackEdges(Compiler.jit().metrics().counter("vm.backedges")) {}
+      MBackEdges(Compiler.jit().metrics().counter("vm.backedges")),
+      MTreeFallbacks(
+          Compiler.jit().metrics().counter("interp.tree_fallbacks")) {}
 
 int TerraInterpBackend::execute(const TerraFunction *F, void **Args, void *Ret,
                                 uint64_t *BackEdges) {
@@ -966,9 +972,23 @@ int TerraInterpBackend::execute(const TerraFunction *F, void **Args, void *Ret,
   return Tier;
 }
 
+void TerraInterpBackend::compileBytecode(TerraFunction *F) {
+  if (F->Bytecode || !F->Body || F->IsExtern || F->HostClosure)
+    return;
+  bytecode::BailSite Why;
+  F->Bytecode = bytecode::compile(Ctx, F, &Why);
+  if (F->Bytecode)
+    return;
+  MTreeFallbacks.inc();
+  logging::emit(logging::Level::Debug, "interp.tree_fallback",
+                {{"function", F->Name},
+                 {"site", Why.Reason},
+                 {"line", std::to_string(Why.Loc.Line)},
+                 {"col", std::to_string(Why.Loc.Column)}});
+}
+
 bool TerraInterpBackend::prepare(TerraFunction *F) {
-  if (!F->Bytecode)
-    F->Bytecode = bytecode::compile(Ctx, F);
+  compileBytecode(F);
   if (F->Entry)
     return true;
   TerraInterpBackend *Self = this;

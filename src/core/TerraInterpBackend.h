@@ -10,7 +10,9 @@
 //    function compiles to bytecode; and
 //  * the original tree-walking evaluator (TEval, in the .cpp) — the
 //    reference implementation and the oracle for differential tests
-//    (InterpKind::Tree pins every execution to it).
+//    (InterpKind::Tree pins every execution to it). Otherwise it runs only
+//    functions past the bytecode compiler's size limits; each such
+//    function bumps interp.tree_fallbacks.
 //
 // All engines implement the same separate-evaluation semantics as the
 // native backend (Terra code never touches the host store) and report the
@@ -37,8 +39,13 @@ public:
   TerraInterpBackend(TerraContext &Ctx, TerraCompiler &Compiler,
                      InterpKind Kind);
 
-  /// Compiles \p F to bytecode when possible and installs an interpretive
-  /// Entry thunk. Idempotent.
+  /// Compiles \p F to bytecode unless it has some (or has no body). A
+  /// function left without bytecode runs on the tree-walker: it counts in
+  /// interp.tree_fallbacks and logs its bail site at debug level.
+  void compileBytecode(TerraFunction *F);
+
+  /// compileBytecode, then installs an interpretive Entry thunk.
+  /// Idempotent.
   bool prepare(TerraFunction *F);
 
   /// Runs \p F over FFI-convention arguments on the first engine that
@@ -57,6 +64,7 @@ private:
   const bool ForceTree;
   telemetry::Histogram &MDispatchUs; ///< vm.dispatch_us (outermost calls).
   telemetry::Counter &MBackEdges;    ///< vm.backedges.
+  telemetry::Counter &MTreeFallbacks; ///< interp.tree_fallbacks.
 };
 
 } // namespace terracpp

@@ -48,6 +48,17 @@ public:
   bool tryUserCast(TerraExpr *&E, Type *To, bool &Applied);
 
   Type *promote(Type *A, Type *B);
+  /// The operand type of a comparison: arithmetic, or a vector of them.
+  static bool comparable(const Type *P) {
+    return P->isArithmetic() ||
+           (P->isVector() && cast<VectorType>(P)->element()->isArithmetic());
+  }
+  /// bool for scalars; a vector(bool, N) lane mask for vector operands.
+  Type *comparisonType(Type *Operand) {
+    if (auto *VT = dyn_cast<VectorType>(Operand))
+      return Ctx.types().vector(Ctx.types().boolType(), VT->length());
+    return Ctx.types().boolType();
+  }
   TerraExpr *makeCast(TerraExpr *E, Type *To, bool Implicit);
   bool referenceFunction(TerraFunction *Callee, SourceLoc Loc,
                          FunctionType *&FnTy);
@@ -561,7 +572,9 @@ Type *CheckState::checkExpr(TerraExpr *&E) {
                            " and " + R->str());
         return nullptr;
       }
-      if (B->Op == BinOpKind::Mod && P->isFloat()) {
+      if (B->Op == BinOpKind::Mod &&
+          (P->isFloat() ||
+           (P->isVector() && cast<VectorType>(P)->element()->isFloat()))) {
         fail(E->loc(), "'%' requires integral operands");
         return nullptr;
       }
@@ -588,14 +601,14 @@ Type *CheckState::checkExpr(TerraExpr *&E) {
     case BinOpKind::Gt:
     case BinOpKind::Ge: {
       Type *P = promote(L, R);
-      if (!P || !P->isArithmetic()) {
+      if (!P || !comparable(P)) {
         fail(E->loc(), "invalid operands to comparison: " + L->str() +
                            " and " + R->str());
         return nullptr;
       }
       if (!convert(B->LHS, P) || !convert(B->RHS, P))
         return nullptr;
-      B->Ty = Ctx.types().boolType();
+      B->Ty = comparisonType(P);
       return B->Ty;
     }
     case BinOpKind::Eq:
@@ -609,13 +622,15 @@ Type *CheckState::checkExpr(TerraExpr *&E) {
         // OK as-is.
       } else {
         Type *P = promote(L, R);
-        if (!P || !P->isArithmetic()) {
+        if (!P || !comparable(P)) {
           fail(E->loc(), "invalid operands to equality: " + L->str() +
                              " and " + R->str());
           return nullptr;
         }
         if (!convert(B->LHS, P) || !convert(B->RHS, P))
           return nullptr;
+        B->Ty = comparisonType(P);
+        return B->Ty;
       }
       B->Ty = Ctx.types().boolType();
       return B->Ty;
@@ -649,7 +664,8 @@ Type *CheckState::checkExpr(TerraExpr *&E) {
       return U->Ty;
     }
     case UnOpKind::Not: {
-      if (!T->isBool()) {
+      if (!T->isBool() &&
+          !(T->isVector() && cast<VectorType>(T)->element()->isBool())) {
         fail(E->loc(), "'not' requires a boolean operand");
         return nullptr;
       }
@@ -924,8 +940,8 @@ bool CheckState::checkStmt(TerraStmt *S) {
       if (IterT && StepT)
         IterT = promote(IterT, StepT);
     }
-    if (!IterT || !IterT->isIntegral())
-      return fail(S->loc(), "terra 'for' bounds must be integral");
+    if (!IterT || !IterT->isArithmetic())
+      return fail(S->loc(), "terra 'for' bounds must be numbers");
     F->Var.Sym->DeclaredType = IterT;
     if (!convert(F->Lo, IterT) || !convert(F->Hi, IterT))
       return false;

@@ -200,6 +200,18 @@ bool doCall(const CallSite &CS, Slot *R, uint8_t *Frame, vm::ExecEnv &S) {
   void *RetPtr = (CS.RetTy && !CS.RetTy->isVoid()) ? Frame + CS.RetFrameOff
                                                    : nullptr;
   auto *Callee = const_cast<TerraFunction *>(CS.Callee);
+  if (!Callee) {
+    // Indirect call: the function value is the TerraFunction itself, or a
+    // machine address under tiered execution that maps back to it.
+    void *V = R[CS.CalleeReg].P;
+    if (!V)
+      return fail(S, CS.Loc, "null function pointer call");
+    Callee = S.Comp.tierManager() ? S.Comp.functionForRawPtr(V)
+                                  : static_cast<TerraFunction *>(V);
+    if (!Callee)
+      return fail(S, CS.Loc,
+                  "call through unknown function pointer in interpreter");
+  }
   if (Callee->IsExtern) {
     std::string Err;
     if (!interpruntime::dispatchExtern(Callee, ArgPtrs, CS.ArgTypes, RetPtr,

@@ -1,22 +1,27 @@
 //===- test_backends.cpp - Cross-engine differential tests ----------------===//
 //
-// Runs a corpus of programs on all three execution engines — the native C
-// backend (the LLVM substitute), the tier-0 register-bytecode VM (what the
-// Interp backend runs by default; see DESIGN.md §10), and the tree-walking
-// evaluator (retained as the VM's bailout path and as a reference
-// implementation) — and requires identical results. This is the main
-// defense against codegen bugs: the engines share only the typed AST.
+// Runs a corpus of programs on all four execution engines — the native C
+// backend (the LLVM substitute), the baseline x86-64 JIT and the tier-0
+// register-bytecode VM (both over the bytecode; see DESIGN.md §10-11), and
+// the tree-walking evaluator (the reference implementation) — and requires
+// bit-identical results, or the identical trap diagnostic. This is the main
+// defense against codegen bugs: the engines share only the typed AST. The
+// corpus covers the paper's vector(T,N) code, which the bytecode compiler
+// lowers to lanes, and the interpreter tiers must run all of it without
+// falling back to the tree-walker.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Engine.h"
 #include "core/StagingAPI.h"
 #include "core/TerraType.h"
+#include "orion/OrionHosted.h"
 
 #include "ScopedEnv.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <optional>
 
 using namespace terracpp;
@@ -29,6 +34,10 @@ struct Program {
   const char *Src;    ///< Defines terra `f`.
   double Arg;
   double Expected;
+  /// When set, the call must fail with this diagnostic instead. Native code
+  /// has no trap guards (a zero divisor raises SIGFPE), so such entries run
+  /// on the interpreter tiers only.
+  const char *Trap = nullptr;
 };
 
 const Program Corpus[] = {
@@ -164,13 +173,176 @@ const Program Corpus[] = {
      "  return 2\n"
      "end",
      0, 2},
+    // Wrapping int8 lanes, a lane store, a lane negation and an int8 mask
+    // indexed at runtime (3 * 100 wraps to 44).
+    {"vec_int8x8",
+     "terra f(k: int): double\n"
+     "  var v: vector(int8, 8) = [int8](k)\n"
+     "  var c: vector(int8, 8) = [int8](100)\n"
+     "  var w = v * c\n"
+     "  w[6] = -w[6]\n"
+     "  var lt = w < [int8](0)\n"
+     "  var s = 0\n"
+     "  for i = 0, 8 do if lt[i] then s = s + i end end\n"
+     "  return w[0] * 2 + w[6] + s * 1000\n"
+     "end",
+     3, 6044},
+    // int32 lanes read and written at a runtime index, then / and %.
+    {"vec_int32x4",
+     "terra f(k: int): double\n"
+     "  var v: vector(int32, 4) = k\n"
+     "  v[1] = v[1] + 1\n"
+     "  var i = 0\n"
+     "  while i < 4 do v[i] = v[i] * (i + 1) i = i + 1 end\n"
+     "  var q = v / 2 + v % 3\n"
+     "  return q[0] + q[1] + q[2] + q[3]\n"
+     "end",
+     7, 38},
+    // int64 lanes past 32 bits, negation and a scalar broadcast.
+    {"vec_int64x2",
+     "terra f(k: int): double\n"
+     "  var a: vector(int64, 2) = k\n"
+     "  a[1] = -a[1] * 3\n"
+     "  var b = -a + [int64](1000000000000)\n"
+     "  return [double](b[1] - b[0]) * 100 + [double](a[1])\n"
+     "end",
+     9, 3573},
+    // float lanes round in float; lane casts to double and to int32.
+    {"vec_float8",
+     "terra f(x: double): double\n"
+     "  var v: vector(float, 8) = [float](x)\n"
+     "  var h: vector(float, 8) = [float](0.25)\n"
+     "  var w = v * h - h\n"
+     "  var d = [vector(double, 8)](w)\n"
+     "  var n = [vector(int32, 8)](v * [float](10))\n"
+     "  return d[0] + d[7] * 2 + n[3] * 100\n"
+     "end",
+     1.1,
+     3.0 * (static_cast<double>(static_cast<float>(1.1)) * 0.25 - 0.25) +
+         1100},
+    // Comparisons give bool lanes; `not` flips them lane by lane.
+    {"vec_double_cmp",
+     "terra f(x: double): double\n"
+     "  var a: vector(double, 4) = x\n"
+     "  a[0] = 0.5\n"
+     "  a[3] = 4.0\n"
+     "  var b: vector(double, 4) = 2.0\n"
+     "  var lt = a < b\n"
+     "  var ne = not (a == b)\n"
+     "  var r = 0.0\n"
+     "  if lt[0] then r = r + 1 end\n"
+     "  if lt[1] then r = r + 10 end\n"
+     "  if ne[0] then r = r + 100 end\n"
+     "  if ne[1] then r = r + 1000 end\n"
+     "  if ne[3] then r = r + 10000 end\n"
+     "  var ge = a >= 1.0\n"
+     "  var i = 0\n"
+     "  while i < 4 do if ge[i] then r = r + 0.5 end i = i + 1 end\n"
+     "  return r\n"
+     "end",
+     2, 10102.5},
+    // A vector parameter and return; loads and stores through &vector.
+    {"vec_param_ret",
+     "terra scale(v: vector(double, 2), s: double): vector(double, 2)\n"
+     "  return v * s + 1.0\n"
+     "end\n"
+     "terra f(x: double): double\n"
+     "  var buf: double[4]\n"
+     "  buf[0], buf[1], buf[2], buf[3] = x, 2.0, 0.0, 0.0\n"
+     "  var p = [&vector(double, 2)](&buf[0])\n"
+     "  var r = scale(@p, 3.0)\n"
+     "  var q = [&vector(double, 2)](&buf[2])\n"
+     "  @q = r\n"
+     "  return buf[2] * 10 + buf[3]\n"
+     "end",
+     1.5, 62},
+    // Lane registers that alias: a broadcast of a vector's own lane, a
+    // parallel swap of two vectors, and a broadcast of another's lane.
+    {"vec_lane_aliasing",
+     "terra f(x: double): double\n"
+     "  var v: vector(double, 4) = x\n"
+     "  v[1], v[2], v[3] = 2.0, 3.0, 4.0\n"
+     "  v = v * v[0]\n"
+     "  var w: vector(double, 4) = 1.0\n"
+     "  v, w = w, v\n"
+     "  w = w + v[3]\n"
+     "  v = w[2]\n"
+     "  return v[0] + w[0] * 10 + w[3] * 100\n"
+     "end",
+     5, 2376},
+    // One lane of a vector division has a zero divisor.
+    {"vec_div_zero",
+     "terra f(k: int): double\n"
+     "  var a: vector(int32, 4) = 12\n"
+     "  var b: vector(int32, 4) = k\n"
+     "  b[2] = 0\n"
+     "  var q = a / b\n"
+     "  return q[0]\n"
+     "end",
+     4, 0, "integer division by zero"},
+    // Float loop variables count on int64 truncations and read back the
+    // variable each iteration (t = 2.5 continues from 2 + 1).
+    {"for_float_up",
+     "terra f(x: double): double\n"
+     "  var s = 0.0\n"
+     "  for t = 0.0, x do\n"
+     "    s = s + t\n"
+     "    if t == 1.0 then t = 2.5 end\n"
+     "  end\n"
+     "  return s\n"
+     "end",
+     4, 4},
+    {"for_float_down",
+     "terra f(x: double): double\n"
+     "  var u: float = 0\n"
+     "  for t = [float](x), [float](0), [float](-1) do u = u + t * 2 end\n"
+     "  return u\n"
+     "end",
+     5, 30},
+    {"for_float_zero_step",
+     "terra f(x: double): double\n"
+     "  var s = 0.0\n"
+     "  for t = 0.0, x, 0.0 do s = s + 1 end\n"
+     "  return s\n"
+     "end",
+     4, 0, "'for' step is zero"},
 };
 
-/// The three execution engines under differential test. VM and Tree both
-/// construct the Interp backend; the env knob picks which interpreter it
-/// actually runs (programs outside the bytecode subset — e.g. the vector
-/// corpus entry — fall back from the VM to the tree-walker transparently).
-enum class Exec { Native, VM, Tree };
+/// The four execution engines under differential test. VM, Tree and
+/// Baseline all construct the Interp backend; TERRACPP_INTERP picks which
+/// interpreter runs the code.
+enum class Exec { Native, VM, Tree, Baseline };
+
+/// Test-name prefix, and the TERRACPP_INTERP value of the interpreters.
+const char *modeName(Exec Mode) {
+  switch (Mode) {
+  case Exec::Native:
+    return "native";
+  case Exec::VM:
+    return "vm";
+  case Exec::Tree:
+    return "tree";
+  case Exec::Baseline:
+    return "baseline";
+  }
+  return "?";
+}
+
+/// Calls f(Arg) on a fresh engine; returns the engine's diagnostics when
+/// the call fails (empty on success).
+std::string runProgram(const Program &P, Exec Mode, double &Result) {
+  std::optional<ScopedEnv> Force;
+  if (Mode != Exec::Native)
+    Force.emplace("TERRACPP_INTERP", modeName(Mode));
+  Engine E(Mode == Exec::Native ? BackendKind::Native : BackendKind::Interp);
+  if (!E.run(P.Src, P.Name))
+    return "run failed: " + E.errors();
+  std::vector<Value> Results;
+  if (!E.call(E.global("f"), {Value::number(P.Arg)}, Results))
+    return E.errors().empty() ? "call failed" : E.errors();
+  Result = Results.empty() ? 0.0 : Results[0].asNumber();
+  return "";
+}
 
 class BackendDiffTest
     : public ::testing::TestWithParam<std::tuple<Exec, size_t>> {};
@@ -181,44 +353,92 @@ TEST_P(BackendDiffTest, SameResult) {
       Engine::defaultBackend() == BackendKind::Interp)
     GTEST_SKIP();
   const Program &P = Corpus[Idx];
-  std::optional<ScopedEnv> Force;
-  if (Mode != Exec::Native)
-    Force.emplace("TERRACPP_INTERP", Mode == Exec::Tree ? "tree" : "vm");
-  Engine E(Mode == Exec::Native ? BackendKind::Native : BackendKind::Interp);
-  ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
-  std::vector<Value> Results;
-  ASSERT_TRUE(E.call(E.global("f"), {Value::number(P.Arg)}, Results))
-      << P.Name << ": " << E.errors();
-  ASSERT_FALSE(Results.empty()) << P.Name;
-  EXPECT_DOUBLE_EQ(Results[0].asNumber(), P.Expected) << P.Name;
+  double Got = 0;
+  std::string Err = runProgram(P, Mode, Got);
+  if (!P.Trap) {
+    ASSERT_EQ(Err, "") << P.Name;
+    EXPECT_EQ(Got, P.Expected) << P.Name;
+    return;
+  }
+  // The trap diagnostic, location included, is the tree-walker's.
+  EXPECT_NE(Err.find(P.Trap), std::string::npos) << P.Name << ": " << Err;
+  double Ignored;
+  EXPECT_EQ(Err, runProgram(P, Exec::Tree, Ignored)) << P.Name;
+}
+
+std::vector<std::tuple<Exec, size_t>> diffCases() {
+  std::vector<std::tuple<Exec, size_t>> Cases;
+  for (Exec Mode : {Exec::Native, Exec::VM, Exec::Tree, Exec::Baseline})
+    for (size_t I = 0; I != std::size(Corpus); ++I)
+      if (Mode != Exec::Native || !Corpus[I].Trap)
+        Cases.emplace_back(Mode, I);
+  return Cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Corpus, BackendDiffTest,
-    ::testing::Combine(::testing::Values(Exec::Native, Exec::VM, Exec::Tree),
-                       ::testing::Range<size_t>(0, std::size(Corpus))),
+    Corpus, BackendDiffTest, ::testing::ValuesIn(diffCases()),
     [](const ::testing::TestParamInfo<BackendDiffTest::ParamType> &Info) {
       Exec Mode = std::get<0>(Info.param);
-      return std::string(Mode == Exec::Native ? "native_"
-                         : Mode == Exec::VM   ? "vm_"
-                                              : "tree_") +
+      return std::string(modeName(Mode)) + "_" +
              Corpus[std::get<1>(Info.param)].Name;
     });
 
-// Builder-level min/max must agree across backends (scalar + vector lanes).
+// With vectors, indirect calls and float loops on bytecode, nothing in the
+// corpus or the example scripts leaves the bytecode tiers.
+TEST(Backends, InterpRunsCorpusAndScriptsWithoutTreeFallbacks) {
+  ScopedEnv Pin("TERRACPP_INTERP", "baseline");
+  auto Fallbacks = [](Engine &E) {
+    return E.compiler()
+        .jit()
+        .metrics()
+        .counter("interp.tree_fallbacks")
+        .value();
+  };
+  for (const Program &P : Corpus) {
+    Engine E(BackendKind::Interp);
+    ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
+    std::vector<Value> Results;
+    EXPECT_EQ(E.call(E.global("f"), {Value::number(P.Arg)}, Results),
+              P.Trap == nullptr)
+        << P.Name << ": " << E.errors();
+    EXPECT_EQ(Fallbacks(E), 0u) << P.Name;
+  }
+  namespace fs = std::filesystem;
+  unsigned Scripts = 0;
+  for (const auto &Entry : fs::directory_iterator(
+           fs::path(TERRACPP_SOURCE_DIR) / "examples" / "scripts")) {
+    if (Entry.path().extension() != ".t")
+      continue;
+    ++Scripts;
+    Engine E(BackendKind::Interp);
+    orion::installHostedOrion(E);
+    ASSERT_TRUE(E.runFile(Entry.path().string())) << E.errors();
+    EXPECT_EQ(Fallbacks(E), 0u) << Entry.path();
+  }
+  EXPECT_GE(Scripts, 3u);
+}
+
+// Builder-level min/max must agree across engines (scalar + vector lanes;
+// min/max have no source syntax, so the corpus cannot cover them).
 TEST(Backends, MinMaxIntrinsics) {
-  for (BackendKind BK : {BackendKind::Native, BackendKind::Interp}) {
-    if (BK == BackendKind::Native &&
+  for (Exec Mode : {Exec::Native, Exec::VM, Exec::Tree, Exec::Baseline}) {
+    if (Mode == Exec::Native &&
         Engine::defaultBackend() == BackendKind::Interp)
       continue;
-    Engine E(BK);
+    std::optional<ScopedEnv> Force;
+    if (Mode != Exec::Native)
+      Force.emplace("TERRACPP_INTERP", modeName(Mode));
+    Engine E(Mode == Exec::Native ? BackendKind::Native : BackendKind::Interp);
     stage::Builder B(E.context());
     TypeContext &TC = E.context().types();
     Type *F64 = TC.float64();
     TerraSymbol *X = B.sym(F64, "x");
     TerraSymbol *Y = B.sym(F64, "y");
-    // min(x,y)*100 + max(x,y) + vector-lane check.
+    // min(x,y)*100 + max(x,y) + vector-lane checks over double, int64 and
+    // float lanes.
     Type *V4 = TC.vector(F64, 4);
+    Type *I2 = TC.vector(TC.int64(), 2);
+    Type *F8 = TC.vector(TC.float32(), 8);
     TerraSymbol *Va = B.sym(V4, "va");
     TerraSymbol *Vb = B.sym(V4, "vb");
     std::vector<TerraStmt *> Body;
@@ -226,17 +446,28 @@ TEST(Backends, MinMaxIntrinsics) {
     Body.push_back(B.varDecl(Vb, B.cast(V4, B.var(Y))));
     TerraSymbol *Vm = B.sym(V4, "vm");
     Body.push_back(B.varDecl(Vm, B.maxExpr(B.var(Va), B.var(Vb))));
+    TerraSymbol *Ia = B.sym(I2, "ia");
+    Body.push_back(B.varDecl(Ia, B.cast(I2, B.var(X))));
+    TerraSymbol *Im = B.sym(I2, "im");
+    Body.push_back(B.varDecl(
+        Im, B.minExpr(B.neg(B.var(Ia)), B.cast(I2, B.var(Y)))));
+    TerraSymbol *Fm = B.sym(F8, "fm");
+    Body.push_back(B.varDecl(
+        Fm, B.maxExpr(B.cast(F8, B.var(X)), B.cast(F8, B.var(Y)))));
     Body.push_back(B.ret(B.add(
-        B.mul(B.minExpr(B.var(X), B.var(Y)), B.litFloat(100)),
-        B.add(B.maxExpr(B.var(X), B.var(Y)), B.index(B.var(Vm), 2)))));
+        B.add(B.mul(B.minExpr(B.var(X), B.var(Y)), B.litFloat(100)),
+              B.add(B.maxExpr(B.var(X), B.var(Y)), B.index(B.var(Vm), 2))),
+        B.add(B.cast(F64, B.index(B.var(Im), 1)),
+              B.cast(F64, B.index(B.var(Fm), 7))))));
     TerraFunction *F =
         B.function("mm", {X, Y}, F64, B.block(std::move(Body)));
     std::vector<Value> Args = {Value::number(3), Value::number(7)};
     std::vector<Value> R;
     ASSERT_TRUE(E.compiler().callFromHost(F, Args, R, SourceLoc()))
         << E.errors();
-    // min=3, max=7, vm[2]=max(3,7)=7 -> 300 + 7 + 7 = 314.
-    EXPECT_DOUBLE_EQ(R[0].asNumber(), 314.0);
+    // min=3, max=7, vm[2]=7, im[1]=min(-3,7)=-3, fm[7]=7:
+    // 300 + 7 + 7 - 3 + 7 = 318.
+    EXPECT_EQ(R[0].asNumber(), 318.0) << modeName(Mode);
   }
 }
 

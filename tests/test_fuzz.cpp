@@ -5,8 +5,10 @@
 // register-bytecode VM, and the tree-walking evaluator — computes the
 // bit-identical result. This suite generates random (seeded, reproducible)
 // programs — double arithmetic, comparisons, branches, bounded loops,
-// assignments — runs them on all five engines, and compares. Doubles are
-// used for arithmetic so no C undefined behavior (signed overflow) can make
+// assignments, and vector(double, 4) lanes (broadcasts, lane ops, lane
+// loads and stores at constant and runtime indices, comparison masks) —
+// runs them on all five engines, and compares. Doubles are used for
+// arithmetic so no C undefined behavior (signed overflow) can make
 // "disagreement" ambiguous.
 //
 //===----------------------------------------------------------------------===//
@@ -56,17 +58,40 @@ public:
     OS << "  var a0: double = x\n"
        << "  var a1: double = x * 0.5\n"
        << "  var a2: double = 1.0\n"
-       << "  var a3: double = -2.0\n";
+       << "  var a3: double = -2.0\n"
+       << "  var v0: vector(double, 4) = x\n"
+       << "  var v1: vector(double, 4) = 0.5\n"
+       << "  v1[2] = -1.0\n";
     int NumStmts = 3 + R.range(6);
     for (int I = 0; I != NumStmts; ++I)
       OS << stmt(2, 1);
-    OS << "  return a0 + a1 * 2.0 + a2 - a3\n";
+    OS << "  return a0 + a1 * 2.0 + a2 - a3 + v0[0] + v0[3] * 0.5 - v1[1] + "
+          "v1[2]\n";
     OS << "end\n";
     return OS.str();
   }
 
 private:
   std::string var() { return "a" + std::to_string(R.range(4)); }
+  std::string vvar() { return "v" + std::to_string(R.range(2)); }
+  std::string lane() { return "[" + std::to_string(R.range(4)) + "]"; }
+
+  /// vector(double, 4) expressions: lane-wise ops over the vector locals
+  /// and broadcasts of scalar expressions.
+  std::string vexpr(int Depth) {
+    if (Depth <= 0 || R.range(3) == 0) {
+      switch (R.range(3)) {
+      case 0:
+        return vvar();
+      case 1:
+        return "[vector(double, 4)](" + expr(0) + ")";
+      default:
+        return "(-" + vvar() + ")";
+      }
+    }
+    static const char *Ops[] = {" + ", " - ", " * "};
+    return "(" + vexpr(Depth - 1) + Ops[R.range(3)] + vexpr(Depth - 1) + ")";
+  }
 
   std::string expr(int Depth) {
     if (Depth <= 0 || R.range(3) == 0) {
@@ -96,7 +121,7 @@ private:
 
   std::string stmt(int Depth, int Indent) {
     std::string Pad(Indent * 2, ' ');
-    switch (R.range(5)) {
+    switch (R.range(9)) {
     case 0:
     case 1:
       return Pad + var() + " = " + expr(Depth) + "\n";
@@ -118,10 +143,37 @@ private:
       S += Pad + "end\n";
       return S;
     }
-    default: {
+    case 4:
       // Bounded damping keeps values finite across loops.
       return Pad + var() + " = " + var() + " * 0.5 + " + expr(Depth - 1) +
              "\n";
+    case 5: {
+      std::string V = vvar();
+      return Pad + V + " = " + V + " * 0.5 + " + vexpr(Depth - 1) + "\n";
+    }
+    case 6:
+      if (R.range(2))
+        return Pad + vvar() + lane() + " = " + expr(Depth) + "\n";
+      return Pad + var() + " = " + var() + " * 0.5 + " + vvar() + lane() +
+             "\n";
+    case 7: {
+      // A comparison mask, read one lane at a time.
+      static const char *Cmp[] = {" < ", " <= ", " > ", " >= ", " == ",
+                                  " ~= "};
+      std::string M = "m" + std::to_string(Counter++);
+      std::string S = Pad + "var " + M + " = " + vexpr(Depth - 1) +
+                      Cmp[R.range(6)] + vexpr(Depth - 1) + "\n";
+      S += Pad + "if " + M + lane() + " then\n";
+      S += stmt(Depth - 1, Indent + 1);
+      S += Pad + "end\n";
+      return S;
+    }
+    default: {
+      // Runtime lane indices keep that vector in the frame.
+      std::string K = "k" + std::to_string(Counter++);
+      std::string V = vvar();
+      return Pad + "for " + K + " = 0, 4 do " + V + "[" + K + "] = " + V +
+             "[" + K + "] * 0.5 + " + expr(Depth - 1) + " end\n";
     }
     }
   }
@@ -190,6 +242,12 @@ TEST_P(FuzzDiffTest, BackendsAgree) {
     ASSERT_TRUE(R[0].isNumber());
     Results[I] = R[0].asNumber();
     Have[I] = true;
+    // Every generated construct, vectors included, runs on bytecode.
+    EXPECT_EQ(
+        E.compiler().jit().metrics().counter("interp.tree_fallbacks").value(),
+        0u)
+        << C.Name << "\n"
+        << Src;
   }
   ASSERT_FALSE(std::isnan(Results[VM])) << Src;
   expectAgreement(Results, Have, Seed, Src);

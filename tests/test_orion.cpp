@@ -4,7 +4,9 @@
 // vectorized) produces results identical to reference C implementations of
 // the paper's workloads: the 5x5 separable area filter, the Gauss-Jacobi
 // diffuse kernel from the fluid solver (paper Fig. 7), and the 4-kernel
-// point-wise pipeline used for the inlining experiment.
+// point-wise pipeline used for the inlining experiment. Pipelines run
+// through their Entry thunks, so with no C compiler the same tests run the
+// vectorized schedules on the bytecode tiers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +25,6 @@ using namespace terracpp;
 using namespace terracpp::orion;
 
 namespace {
-
-bool nativeAvailable() {
-  return Engine::defaultBackend() != BackendKind::Interp;
-}
 
 std::vector<float> testImage(int64_t W, int64_t H) {
   std::vector<float> Img(W * H);
@@ -139,8 +137,6 @@ struct SchedCase {
 class OrionScheduleTest : public ::testing::TestWithParam<SchedCase> {};
 
 TEST_P(OrionScheduleTest, AreaFilterMatchesReference) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   SchedCase C = GetParam();
   int64_t W = 64, H = 48;
   std::vector<float> In = testImage(W, H), Ref(W * H), Out(W * H);
@@ -156,8 +152,6 @@ TEST_P(OrionScheduleTest, AreaFilterMatchesReference) {
 }
 
 TEST_P(OrionScheduleTest, DiffuseMatchesReference) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   SchedCase C = GetParam();
   if (C.Sched == Schedule::Inline)
     GTEST_SKIP() << "inlining a multi-stage stencil uses infinite-plane "
@@ -195,8 +189,6 @@ INSTANTIATE_TEST_SUITE_P(
 //===----------------------------------------------------------------------===//
 
 TEST(Orion, PointwisePipelineInlined) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // blacklevel offset, brightness, clamp-ish scale, invert (paper §6.2).
   int64_t W = 64, H = 32;
   std::vector<float> In = testImage(W, H), Out(W * H), Ref(W * H);
@@ -228,8 +220,6 @@ TEST(Orion, PointwisePipelineInlined) {
 }
 
 TEST(Orion, InlineStencilInteriorMatches) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // Inline vs materialize differ only at the boundary for stencil stages
   // (inline recomputes on the infinite plane); interiors must agree.
   int64_t W = 64, H = 64;
@@ -256,8 +246,6 @@ TEST(Orion, InlineStencilInteriorMatches) {
 }
 
 TEST(Orion, TwoInputPipeline) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   int64_t W = 32, H = 32;
   std::vector<float> A = testImage(W, H), B = testImage(W, H), Out(W * H);
   for (float &X : B)
@@ -277,8 +265,6 @@ TEST(Orion, TwoInputPipeline) {
 }
 
 TEST(Orion, MinMaxClampPipeline) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // clamp(x, 0.2, 0.8) via min/max, scalar and vectorized.
   int64_t W2 = 64, H2 = 32;
   std::vector<float> In = testImage(W2, H2), Ref(W2 * H2);
@@ -299,8 +285,6 @@ TEST(Orion, MinMaxClampPipeline) {
 }
 
 TEST(Orion, HostedDSLMatchesReference) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // The paper's actual architecture: Orion programs written in the host
   // language with operator overloading, compiled through staged Terra.
   int64_t W2 = 64, H2 = 48;
@@ -344,8 +328,6 @@ TEST(Orion, HostedDSLMatchesReference) {
 }
 
 TEST(Orion, ProjectPipelineMatchesReferenceInterior) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // The fluid project step (divergence -> Jacobi pressure -> gradient
   // subtraction), two inputs, compared on the interior (the reference
   // leaves the one-pixel border untouched).
@@ -427,8 +409,6 @@ TEST(Orion, RunsOnInterpreterBackend) {
 }
 
 TEST(Orion, VectorWidthMustDivideWidth) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   Engine E;
   Pipeline P;
   Func In = P.input("img");

@@ -2,7 +2,8 @@
 //
 // Runs the shipped .t example scripts through Engine::runFile and checks
 // their self-reported results — integration coverage for the combined
-// language at program scale.
+// language at program scale, on the default backend (the interpreter
+// tiers when no C compiler is installed).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,10 +18,6 @@ using namespace terracpp;
 
 namespace {
 
-bool nativeAvailable() {
-  return Engine::defaultBackend() != BackendKind::Interp;
-}
-
 std::string scriptPath(const char *Name) {
   // CMake passes the source dir; fall back to a relative path for manual
   // runs from the repository root.
@@ -32,8 +29,6 @@ std::string scriptPath(const char *Name) {
 }
 
 TEST(Scripts, Mandelbrot) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   Engine E;
   ASSERT_TRUE(E.runFile(scriptPath("mandelbrot.t"))) << E.errors();
   lua::Value R = E.global("result");
@@ -45,16 +40,12 @@ TEST(Scripts, Mandelbrot) {
 }
 
 TEST(Scripts, SortingNetworks) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   Engine E;
   ASSERT_TRUE(E.runFile(scriptPath("sorting.t"))) << E.errors();
   EXPECT_EQ(E.global("result").asNumber(), 1);
 }
 
 TEST(Scripts, HostedOrion) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   Engine E;
   orion::installHostedOrion(E);
   ASSERT_TRUE(E.runFile(scriptPath("hosted_orion.t"))) << E.errors();

@@ -174,6 +174,38 @@ TEST(Typecheck, VectorBroadcastAndArithmetic) {
                    12.0);
 }
 
+TEST(Typecheck, VectorComparisonsGiveBoolLanes) {
+  // v > 5 is a vector(bool, 4) mask; `not` flips it lane by lane.
+  EXPECT_DOUBLE_EQ(compileAndCall("terra f(): int\n"
+                                  "  var v: vector(int32, 4) = 3\n"
+                                  "  v[1] = 7\n"
+                                  "  var m = not (v > 5)\n"
+                                  "  var n = 0\n"
+                                  "  for i = 0, 4 do\n"
+                                  "    if m[i] then n = n + 1 end\n"
+                                  "  end\n"
+                                  "  return n\n"
+                                  "end"),
+                   3.0);
+  expectTypeError("terra f(): int\n"
+                  "  var v: vector(int32, 4) = 3\n"
+                  "  if v > 5 then return 1 end\n"
+                  "  return 0\n"
+                  "end",
+                  "must be bool");
+}
+
+TEST(Typecheck, FloatForLoopsCountOnTruncatedBounds) {
+  // The loop variable takes the bounds' float type; the count runs on the
+  // int64 truncations (0, 1, 2 for 0.5 .. 3.5).
+  EXPECT_DOUBLE_EQ(compileAndCall("terra f(): double\n"
+                                  "  var s = 0.0\n"
+                                  "  for t = 0.5, 3.5 do s = s + t end\n"
+                                  "  return s\n"
+                                  "end"),
+                   3.0);
+}
+
 //===----------------------------------------------------------------------===//
 // Error cases
 //===----------------------------------------------------------------------===//
@@ -254,6 +286,11 @@ TEST(Typecheck, UnknownMethod) {
 
 TEST(Typecheck, ModRequiresIntegers) {
   expectTypeError("terra f(): double return 1.5 % 0.5 end", "integral");
+  expectTypeError("terra f(): double\n"
+                  "  var v: vector(float, 4) = 1.5\n"
+                  "  return (v % v)[0]\n"
+                  "end",
+                  "integral");
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,8 @@
 //     (not silently falling back to the tree-walker);
 //   * VM results match the tree-walking evaluator bit for bit across
 //     arithmetic, loops, structs, recursion, and traps;
-//   * the documented bailouts (vectors, indirect calls) fall back to the
-//     tree-walker with identical semantics;
+//   * vector code (lowered to lanes) and indirect calls compile to
+//     bytecode too, with results unchanged;
 //   * dispatch latency and back-edge telemetry is recorded.
 //
 //===----------------------------------------------------------------------===//
@@ -75,7 +75,7 @@ TEST(VM, RecordsDispatchTelemetry) {
             100u);
 }
 
-TEST(VM, VectorProgramFallsBackToTreeWalker) {
+TEST(VM, VectorProgramCompilesToLanes) {
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(k: double): double\n"
                     "  var v: vector(double, 4) = k\n"
@@ -86,11 +86,19 @@ TEST(VM, VectorProgramFallsBackToTreeWalker) {
   EXPECT_DOUBLE_EQ(callF(E, 2.5), 10.0);
   TerraFunction *F = E.terraFunction("f");
   ASSERT_NE(F, nullptr);
-  // Vectors are a documented bailout: no bytecode, still correct.
-  EXPECT_EQ(F->Bytecode, nullptr);
+  // Vectors lower to one scalar op per lane: bytecode exists, and the
+  // register-resident lanes need no frame.
+  ASSERT_NE(F->Bytecode, nullptr);
+  EXPECT_EQ(F->Bytecode->FrameBytes, 0u);
+  std::string Dis = bytecode::disassemble(*F->Bytecode);
+  size_t Adds = 0;
+  for (size_t At = Dis.find("AddF"); At != std::string::npos;
+       At = Dis.find("AddF", At + 1))
+    ++Adds;
+  EXPECT_EQ(Adds, 5u) << Dis; // 4 lanes of v + v, then w[0] + w[3].
 }
 
-TEST(VM, IndirectCallFallsBackToTreeWalker) {
+TEST(VM, IndirectCallCompilesToBytecode) {
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra add1(x: int): int return x + 1 end\n"
                     "terra mul2(x: int): int return x * 2 end\n"
@@ -104,9 +112,20 @@ TEST(VM, IndirectCallFallsBackToTreeWalker) {
   EXPECT_EQ(callF(E, 3), 4);
   TerraFunction *F = E.terraFunction("f");
   ASSERT_NE(F, nullptr);
-  EXPECT_EQ(F->Bytecode, nullptr);
-  // The leaf callees are still bytecode-eligible.
+  ASSERT_NE(F->Bytecode, nullptr);
+  ASSERT_EQ(F->Bytecode->Calls.size(), 1u);
+  EXPECT_EQ(F->Bytecode->Calls[0].Callee, nullptr); // Read from a register.
   EXPECT_NE(E.terraFunction("add1")->Bytecode, nullptr);
+  // A null function value traps with the tree-walker's diagnostic.
+  ASSERT_TRUE(E.run("terra g(n: int): int\n"
+                    "  var fp = [int -> int](nil)\n"
+                    "  return fp(n)\n"
+                    "end"))
+      << E.errors();
+  std::vector<Value> R;
+  EXPECT_FALSE(E.call(E.global("g"), {Value::number(1)}, R));
+  EXPECT_NE(E.errors().find("null function pointer call"), std::string::npos)
+      << E.errors();
 }
 
 TEST(VM, TrapsMatchTreeWalker) {

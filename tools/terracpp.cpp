@@ -236,6 +236,11 @@ void printTimeReport(Engine &E) {
   };
   Global.forEachHistogram(Rest);
   Jit.forEachHistogram(Rest);
+  // Functions the interpreter tiers ran on the tree-walker because the
+  // bytecode compiler bailed (always printed: CI gates on it being 0).
+  fprintf(stderr, "  %-32s %8llu\n", "interp.tree_fallbacks",
+          static_cast<unsigned long long>(
+              Jit.counter("interp.tree_fallbacks").value()));
 }
 
 /// --analyze-json=OUT: the structured findings behind the stderr render,
