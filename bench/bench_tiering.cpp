@@ -3,8 +3,8 @@
 // Quantifies the three claims behind the tiered pipeline:
 //
 //   1. Engine tiers — per-call throughput of one loop-heavy kernel on the
-//      tree-walking evaluator, the tier-0 register-bytecode VM (target:
-//      >= 10x the tree-walker), and promoted native code.
+//      tier-0 register-bytecode VM, the baseline JIT, and promoted native
+//      code.
 //   2. First-call latency — wall time from "script evaluated" to "first
 //      call returned" on the native backend (blocks on the C compiler) vs
 //      the tiered one (tier 0 answers immediately; target p50 <= 1ms
@@ -112,15 +112,7 @@ void measureEngineTiers(Json &Report) {
   constexpr int Iters = 30;
   Json Tiers = Json::object();
 
-  double TreeSec = 0, VMSec = 0, BaseSec = 0, BaseEmitUs = 0;
-  {
-    ScopedEnv Force("TERRACPP_INTERP", "tree");
-    Engine E(BackendKind::Interp);
-    E.run(kernelSource("kern", 1));
-    TerraFunction *F = E.terraFunction("kern");
-    E.compiler().ensureCompiled(F);
-    TreeSec = timePerCall(F, N, std::max(Iters / 10, 3));
-  }
+  double VMSec = 0, BaseSec = 0, BaseEmitUs = 0;
   {
     // Pin to the VM: with the baseline JIT as the default interpreter, an
     // unconstrained Interp engine would measure tier 0.5, not tier 0.
@@ -147,10 +139,7 @@ void measureEngineTiers(Json &Report) {
                      .snapshot()
                      .Mean;
   }
-  Tiers.set("tree_walk_us_per_call", Json::number(TreeSec * 1e6));
   Tiers.set("tier0_vm_us_per_call", Json::number(VMSec * 1e6));
-  Tiers.set("vm_speedup_vs_tree",
-            Json::number(VMSec > 0 ? TreeSec / VMSec : 0));
   if (BaseSec > 0) {
     Tiers.set("baseline_us_per_call", Json::number(BaseSec * 1e6));
     Tiers.set("baseline_speedup_vs_vm", Json::number(VMSec / BaseSec));
@@ -302,11 +291,6 @@ void runTierBenchmark(benchmark::State &State, const char *InterpMode,
   State.counters["iters/s"] = benchmark::Counter(
       static_cast<double>(N) * State.iterations(), benchmark::Counter::kIsRate);
 }
-
-void BM_TreeWalker(benchmark::State &State) {
-  runTierBenchmark(State, "tree", BackendKind::Interp);
-}
-BENCHMARK(BM_TreeWalker)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
 
 void BM_Tier0VM(benchmark::State &State) {
   runTierBenchmark(State, "vm", BackendKind::Interp);

@@ -38,6 +38,7 @@ public:
   std::ostringstream Body;       // Function definitions.
   std::map<const Type *, std::string> StructNames;
   std::map<const Type *, std::string> VectorNames;
+  std::map<const Type *, std::string> ArrayNames;
   std::set<const Type *> EmittedStructs;
   std::set<std::string> Headers;
   std::set<const TerraFunction *> ModuleFns;
@@ -67,8 +68,6 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Emits (once) the typedefs a type needs and returns its C spelling.
-  /// Arrays cannot be spelled inline in all positions; cdecl() handles
-  /// declarators.
   std::string cType(const Type *T) {
     switch (T->kind()) {
     case Type::TK_Prim: {
@@ -113,8 +112,6 @@ public:
         const auto *FT = cast<FunctionType>(Pointee);
         return fnPtrType(FT);
       }
-      if (Pointee->isArray())
-        return cType(cast<ArrayType>(Pointee)->element()) + " *"; // Decay.
       if (Pointee->isStruct()) {
         // Use the tag form so self-referential structs (List { next: &List })
         // and pointer-only uses of incomplete structs work without a layout.
@@ -133,10 +130,25 @@ public:
       // as a pointer (Terra functions are pointer values).
       return fnPtrType(cast<FunctionType>(T));
     case Type::TK_Array:
-      // Only valid via cdecl(); inline arrays decay.
-      return cType(cast<ArrayType>(T)->element()) + " *";
+      return arrayName(cast<ArrayType>(T));
     }
     return "void";
+  }
+
+  /// Terra arrays are values: they copy on assignment and pass and return
+  /// by value. C arrays are none of these, so each array type is a struct
+  /// wrapping the C array as member `a` (same size and alignment).
+  std::string arrayName(const ArrayType *AT) {
+    auto It = ArrayNames.find(AT);
+    if (It != ArrayNames.end())
+      return It->second;
+    std::string Member =
+        cdecl(AT->element(), "a[" + std::to_string(AT->length()) + "]");
+    std::string Name = "A" + std::to_string(AT->length()) + "_" +
+                       std::to_string(NameCounter++);
+    ArrayNames[AT] = Name;
+    Prologue << "typedef struct { " << Member << "; } " << Name << ";\n";
+    return Name;
   }
 
   /// Spelling of a C cast to `T *` (function types need the declarator
@@ -171,11 +183,8 @@ public:
     return S;
   }
 
-  /// C declarator for `Ty Name` handling arrays (e.g. `int x[4][2]`).
+  /// C declarator for `Ty Name` (function types spell it inside out).
   std::string cdecl(const Type *T, const std::string &Name) {
-    if (const auto *AT = dyn_cast<ArrayType>(T))
-      return cdecl(AT->element(),
-                   Name + "[" + std::to_string(AT->length()) + "]");
     if (T->isFunction()) {
       const auto *FT = cast<FunctionType>(T);
       std::string S = cType(FT->result()) + " (*" + Name + ")(";
@@ -758,7 +767,8 @@ public:
     }
     case TerraNode::NK_Index: {
       const auto *X = cast<IndexExpr>(E);
-      return "(" + expr(X->Base) + ")[" + expr(X->Idx) + "]";
+      return "(" + expr(X->Base) + ")" + (X->Base->Ty->isArray() ? ".a" : "") +
+             "[" + expr(X->Idx) + "]";
     }
     case TerraNode::NK_Cast: {
       const auto *C = cast<CastExpr>(E);
@@ -779,7 +789,7 @@ public:
       }
       if (From->isArray() && To->isPointer()) {
         // Array decay: take the address of the first element.
-        return "(&(" + expr(C->Operand) + ")[0])";
+        return "(&(" + expr(C->Operand) + ").a[0])";
       }
       return "((" + cType(To) + ")" + expr(C->Operand) + ")";
     }

@@ -35,7 +35,7 @@ BackendKind Engine::defaultBackend() {
 InterpKind Engine::defaultInterp() {
   // Choices are in InterpKind's order.
   return static_cast<InterpKind>(envcfg::parseChoice(
-      "TERRACPP_INTERP", {"baseline", "vm", "tree"},
+      "TERRACPP_INTERP", {"baseline", "vm"},
       static_cast<size_t>(InterpKind::Baseline)));
 }
 

@@ -41,7 +41,7 @@ public:
   /// TERRACPP_BACKEND={native,tiered,interp}. Unset (or invalid, with a
   /// one-time warning): Native when a cc is on PATH, else Interp.
   static BackendKind defaultBackend();
-  /// TERRACPP_INTERP={baseline,vm,tree}. Unset (or invalid, with a
+  /// TERRACPP_INTERP={baseline,vm}. Unset (or invalid, with a
   /// one-time warning): Baseline.
   static InterpKind defaultInterp();
 

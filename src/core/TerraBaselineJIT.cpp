@@ -71,11 +71,7 @@ uint64_t terracppBaselineCall(const bytecode::Function *F, uint64_t Idx,
         vm::failStackOverflow(*Env);
         return 0;
       }
-      void *ArgPtrs[MaxCallArgs];
-      for (size_t I = 0, N = CS.Args.size(); I != N; ++I) {
-        const CallSite::Arg &A = CS.Args[I];
-        ArgPtrs[I] = A.ByAddr ? R[A.Reg].P : static_cast<void *>(&R[A.Reg]);
-      }
+      void **ArgPtrs = vm::stageCallArgs(CS, R, Frame);
       void *RetPtr = (CS.RetTy && !CS.RetTy->isVoid())
                          ? Frame + CS.RetFrameOff
                          : nullptr;

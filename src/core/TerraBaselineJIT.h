@@ -3,7 +3,7 @@
 // One-pass native code emission straight from the register bytecode
 // (DESIGN.md §11). This is the middle rung of the tier lattice
 //
-//   tree-walker -> bytecode VM -> baseline JIT -> cc-compiled native
+//   bytecode VM -> baseline JIT -> cc-compiled native
 //
 // Emission is microseconds (no external compiler), so the baseline replaces
 // the VM on a function's very first dispatch; the optimizing C backend
@@ -12,8 +12,8 @@
 // trap side tables (calls and traps run through vm::execCallSite /
 // vm::execTrap so source locations and FFI behavior are tier-invariant),
 // the same "terra interpreter: ..." diagnostics. Bytecode the emitter
-// cannot handle bails permanently to the VM, mirroring how the VM bails to
-// the tree-walker.
+// cannot handle (e.g. an activation past the native-stack cap) bails
+// permanently to the VM.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,11 +1,11 @@
 //===- TerraBytecode.cpp - AST -> register bytecode compiler --------------===//
 //
 // Compiles a typechecked, midend-run Terra function into the tier-0 format
-// described in TerraBytecode.h. The compiler mirrors the tree-walking
-// evaluator's semantics exactly (canonical int64/double forms, wrap-on-store
-// re-canonicalization, short-circuit and/or, exclusive for-loop limits,
-// parallel assignment); any construct it does not model makes compile()
-// return null and the caller fall back to the tree-walker.
+// described in TerraBytecode.h, with the native backend's semantics
+// (canonical int64/double forms, wrap-on-store re-canonicalization,
+// short-circuit and/or, exclusive for-loop limits, parallel assignment).
+// compile() returns null only past the register-file or frame limits, or on
+// IR the typechecker does not produce; every bail() names its site.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +105,8 @@ int constLane(const TerraExpr *Idx, uint64_t N) {
 //===----------------------------------------------------------------------===//
 
 struct Prepass {
-  std::vector<std::pair<const TerraSymbol *, Type *>> Decls;
+  /// Every local with its declaration site.
+  std::vector<std::pair<const TerraSymbol *, SourceLoc>> Decls;
   std::set<const TerraSymbol *> AddrTaken;
   BailSite Why;
   bool Bailed = false;
@@ -126,7 +127,7 @@ struct Prepass {
       bail("vector of non-primitive lanes", Loc);
       return;
     }
-    Decls.push_back({S, S->DeclaredType});
+    Decls.push_back({S, Loc});
   }
 
   /// &lvalue pins the root variable of the lvalue chain to the frame.
@@ -173,10 +174,6 @@ struct Prepass {
       return;
     case TerraNode::NK_Apply: {
       const auto *A = cast<ApplyExpr>(E);
-      if (A->NumArgs > MaxCallArgs) {
-        bail("call with more than 32 arguments", E->loc());
-        return;
-      }
       walkExpr(A->Callee);
       for (unsigned I = 0; I != A->NumArgs; ++I)
         walkExpr(A->Args[I]);
@@ -330,12 +327,16 @@ private:
   SourceLoc CurLoc; ///< Statement being compiled (bail site).
 
   std::map<const TerraSymbol *, LocalInfo> Locals;
+  /// Registers for locals; later locals live in the frame, so temporaries
+  /// always keep most of the register file.
+  static constexpr unsigned MaxPersistentRegs = 4000;
+  static constexpr uint16_t NoReg = 0xFFFF;
   uint16_t PersistentRegs = 0;
   uint16_t RegTop = 0, RegMax = 0;
   uint32_t FrameTop = 0, FrameMax = 0;
   std::vector<std::vector<size_t>> BreakStack;
 
-  int bail(const char *Reason = "unsupported construct") {
+  int bail(const char *Reason) {
     if (!Bailed)
       Why = {Reason, CurLoc};
     Bailed = true;
@@ -353,7 +354,7 @@ private:
   }
 
   int tempReg() {
-    if (RegTop >= 4096)
+    if (RegTop == NoReg) // 0xFFFF is the "no register" sentinel.
       return bail("register cap");
     uint16_t R = RegTop++;
     if (RegTop > RegMax)
@@ -361,14 +362,15 @@ private:
     return R;
   }
   uint32_t allocScratch(uint64_t Size, uint32_t Align = 16) {
-    FrameTop = (FrameTop + Align - 1) & ~(Align - 1);
-    uint32_t Off = FrameTop;
-    FrameTop += static_cast<uint32_t>(Size);
+    uint64_t Off = (uint64_t(FrameTop) + Align - 1) & ~uint64_t(Align - 1);
+    if (Off + Size > UINT32_MAX) {
+      bail("frame cap");
+      return 0;
+    }
+    FrameTop = static_cast<uint32_t>(Off + Size);
     if (FrameTop > FrameMax)
       FrameMax = FrameTop;
-    if (FrameMax > (1u << 22))
-      bail("frame cap");
-    return Off;
+    return static_cast<uint32_t>(Off);
   }
 
   struct Mark {
@@ -460,7 +462,7 @@ bool BCCompiler::emitLoad(int Dst, const Type *Ty, int Addr, int64_t Off) {
   } else {
     const auto *P = dyn_cast<PrimType>(Ty);
     if (!P)
-      return bail() >= 0;
+      return bail("load of a non-scalar type") >= 0;
     switch (P->primKind()) {
     case PrimType::Bool:
     case PrimType::UInt8:
@@ -494,7 +496,7 @@ bool BCCompiler::emitLoad(int Dst, const Type *Ty, int Addr, int64_t Off) {
       O = Op::LdF64;
       break;
     default:
-      return bail() >= 0;
+      return bail("load of a non-scalar type") >= 0;
     }
   }
   emit(O, static_cast<uint16_t>(Dst), static_cast<uint16_t>(Addr), 0, Off);
@@ -510,7 +512,7 @@ bool BCCompiler::emitStore(const Type *Ty, int Addr, int64_t Off, int Val) {
   } else {
     const auto *P = dyn_cast<PrimType>(Ty);
     if (!P)
-      return bail() >= 0;
+      return bail("store of a non-scalar type") >= 0;
     switch (P->primKind()) {
     case PrimType::Bool:
     case PrimType::Int8:
@@ -536,7 +538,7 @@ bool BCCompiler::emitStore(const Type *Ty, int Addr, int64_t Off, int Val) {
       O = Op::StF64;
       break;
     default:
-      return bail() >= 0;
+      return bail("store of a non-scalar type") >= 0;
     }
   }
   emit(O, static_cast<uint16_t>(Addr), static_cast<uint16_t>(Val), 0, Off);
@@ -588,7 +590,7 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
     const auto *V = cast<VarExpr>(E);
     auto It = Locals.find(V->Sym);
     if (It == Locals.end() || !It->second.InFrame)
-      return bail();
+      return bail("address of a register local");
     int Dst = tempReg();
     if (Dst < 0)
       return -1;
@@ -598,7 +600,7 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
   case TerraNode::NK_GlobalRef: {
     TerraGlobal *G = cast<GlobalRefExpr>(E)->Global;
     if (!G || !G->Storage)
-      return bail();
+      return bail("global without storage");
     int Dst = tempReg();
     if (Dst < 0)
       return -1;
@@ -609,7 +611,7 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
   case TerraNode::NK_UnOp: {
     const auto *U = cast<UnOpExpr>(E);
     if (U->Op != UnOpKind::Deref)
-      return bail();
+      return bail("address of a non-lvalue");
     int P = compileScalar(U->Operand);
     if (P < 0)
       return -1;
@@ -619,7 +621,7 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
   }
   case TerraNode::NK_Index: {
     const auto *X = cast<IndexExpr>(E);
-    // Tree-walker order: index first, then base address.
+    // Index first, then base address.
     int Idx = compileScalar(X->Idx);
     if (Idx < 0)
       return -1;
@@ -641,7 +643,7 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
       return -1;
     const auto *ST = dyn_cast<StructType>(S->Base->Ty);
     if (!ST || S->FieldIndex < 0)
-      return bail();
+      return bail("field of a non-struct");
     uint64_t Off = ST->fields()[S->FieldIndex].Offset;
     if (Off == 0)
       return Base;
@@ -652,8 +654,18 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
          static_cast<uint16_t>(Base), 0, static_cast<int64_t>(Off));
     return Dst;
   }
+  case TerraNode::NK_Apply:
+  case TerraNode::NK_Constructor:
+  case TerraNode::NK_Cast:
+    // An rvalue aggregate (mk(a).y, arr(a)[2]): materialize it in frame
+    // scratch and address that.
+    if (!isScalarTy(E->Ty))
+      return compileAggValue(E);
+    return bail("address of a scalar rvalue");
   default:
-    return bail();
+    if (laneType(E->Ty) && !vectorInMemory(E))
+      return compileAggValue(E); // Computed vector lanes.
+    return bail("address of a non-lvalue");
   }
 }
 
@@ -693,12 +705,12 @@ int BCCompiler::compileAggValue(const TerraExpr *E) {
     const auto *C = cast<CastExpr>(E);
     if (C->Operand->Ty == C->Ty)
       return compileAggValue(C->Operand);
-    return bail();
+    return bail("aggregate conversion");
   }
   case TerraNode::NK_UnOp: {
     const auto *U = cast<UnOpExpr>(E);
     if (U->Op != UnOpKind::Deref)
-      return bail();
+      return bail("aggregate operator");
     return compileAddr(E);
   }
   default:
@@ -718,7 +730,7 @@ bool BCCompiler::compileAggInto(const TerraExpr *E, int DstAddr,
   if (const auto *C = dyn_cast<ConstructorExpr>(E)) {
     const auto *ST = dyn_cast<StructType>(C->Ty);
     if (!ST)
-      return bail() >= 0;
+      return bail("constructor of a non-struct") >= 0;
     emit(Op::MemZero, static_cast<uint16_t>(DstAddr), 0, 0,
          static_cast<int64_t>(ST->size()));
     for (unsigned I = 0; I != C->NumInits; ++I) {
@@ -726,7 +738,7 @@ bool BCCompiler::compileAggInto(const TerraExpr *E, int DstAddr,
       if (C->FieldNames && C->FieldNames[I])
         Idx = ST->fieldIndex(*C->FieldNames[I]);
       if (Idx < 0 || static_cast<size_t>(Idx) >= ST->fields().size())
-        return bail() >= 0;
+        return bail("constructor field out of range") >= 0;
       uint64_t FOff = ST->fields()[Idx].Offset;
       const TerraExpr *Init = C->Inits[I];
       Mark M = mark();
@@ -845,7 +857,7 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
                               const Lanes *Into) {
   const PrimType *EP = laneType(E->Ty);
   if (Bailed || !EP)
-    return bail() >= 0;
+    return bail("lanes of a non-vector") >= 0;
   const auto *VT = cast<VectorType>(E->Ty);
   unsigned N = static_cast<unsigned>(VT->length());
   Out.clear();
@@ -875,7 +887,7 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
     const PrimType *OP = laneType(B->LHS->Ty);
     Lanes L, R;
     if (!OP || !laneType(B->RHS->Ty))
-      return bail() >= 0;
+      return bail("vector operator on non-vector operands") >= 0;
     if (!compileLanes(B->LHS, L) || !compileLanes(B->RHS, R))
       return false;
     return EachLane(L, &R, [&](int X, int Y, int D) {
@@ -887,7 +899,7 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
     if (U->Op == UnOpKind::Deref)
       break; // In memory.
     if (U->Op != UnOpKind::Neg && U->Op != UnOpKind::Not)
-      return bail() >= 0;
+      return bail("vector operator") >= 0;
     Lanes V;
     if (!compileLanes(U->Operand, V))
       return false;
@@ -909,7 +921,7 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
     }
     const auto *FP = dyn_cast_or_null<PrimType>(From);
     if (!FP)
-      return bail() >= 0;
+      return bail("vector conversion") >= 0;
     int V = compileScalar(C->Operand); // Broadcast.
     if (V >= 0 && FP != EP)
       V = emitPrimCast(FP, EP, V);
@@ -922,7 +934,7 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
     const auto *In = cast<IntrinsicExpr>(E);
     if ((In->IK != IntrinsicKind::Min && In->IK != IntrinsicKind::Max) ||
         In->NumArgs != 2)
-      return bail() >= 0;
+      return bail("vector intrinsic") >= 0;
     Lanes A, B;
     if (!compileLanes(In->Args[0], A) || !compileLanes(In->Args[1], B))
       return false;
@@ -939,7 +951,7 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
   case TerraNode::NK_Index:
     break;
   default:
-    return bail() >= 0;
+    return bail("vector expression") >= 0;
   }
   return loadLanes(VT, compileAddr(E), Out, Into);
 }
@@ -949,17 +961,15 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
 //===----------------------------------------------------------------------===//
 
 int BCCompiler::compileCall(const ApplyExpr *A) {
-  if (A->NumArgs > MaxCallArgs)
-    return bail("call with more than 32 arguments");
   CallSite CS;
   CS.Loc = A->loc();
   if (const auto *FL = dyn_cast<FuncLitExpr>(A->Callee)) {
     if (!FL->Fn)
-      return bail();
+      return bail("call of an unresolved function");
     CS.Callee = FL->Fn;
   } else {
-    // Indirect: the function value is evaluated before the arguments, as
-    // the tree-walker does, and resolved to its callee when the call runs.
+    // Indirect: the function value is evaluated before the arguments and
+    // resolved to its callee when the call runs.
     int V = compileScalar(A->Callee);
     if (V < 0)
       return -1;
@@ -968,13 +978,14 @@ int BCCompiler::compileCall(const ApplyExpr *A) {
   for (unsigned I = 0; I != A->NumArgs; ++I) {
     const TerraExpr *Arg = A->Args[I];
     if (!Arg->Ty)
-      return bail();
+      return bail("untyped argument");
     int R = isScalarTy(Arg->Ty) ? compileScalar(Arg) : compileAggValue(Arg);
     if (R < 0)
       return -1;
     CS.Args.push_back({static_cast<uint16_t>(R), !isScalarTy(Arg->Ty)});
     CS.ArgTypes.push_back(Arg->Ty);
   }
+  CS.ArgsFrameOff = allocScratch(CS.Args.size() * sizeof(void *), 8);
   Type *RT = A->Ty;
   CS.RetTy = RT;
   int Dst = -2;
@@ -1014,7 +1025,7 @@ int BCCompiler::compileCall(const ApplyExpr *A) {
 int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
   Type *OpTy = B->LHS->Ty;
   if (!OpTy || !B->RHS->Ty)
-    return bail();
+    return bail("untyped operand");
 
   // Short-circuit boolean and/or.
   if ((B->Op == BinOpKind::And || B->Op == BinOpKind::Or) && OpTy->isBool()) {
@@ -1053,12 +1064,12 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
         emit(Op::NeI, D, UL, UR);
         return Dst;
       default:
-        return bail();
+        return bail("pointer operator");
       }
     }
     // ptr +/- int (typechecker normalized the int side to int64).
     if (!E->Ty->isPointer())
-      return bail();
+      return bail("pointer arithmetic");
     int64_t ES =
         static_cast<int64_t>(cast<PointerType>(E->Ty)->pointee()->size());
     uint16_t Ptr = OpTy->isPointer() ? UL : UR;
@@ -1071,13 +1082,13 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
       emit(Op::PtrSub, D, Ptr, Off, ES);
       return Dst;
     default:
-      return bail();
+      return bail("pointer operator");
     }
   }
 
   const auto *P = dyn_cast<PrimType>(OpTy);
   if (!P)
-    return bail();
+    return bail("operator on non-primitive operands");
   int L = compileScalar(B->LHS);
   int R = compileScalar(B->RHS);
   if (L < 0 || R < 0)
@@ -1131,7 +1142,7 @@ int BCCompiler::emitPrimBinOp(BinOpKind BK, const PrimType *P, int L, int R,
       emit(F32 ? Op::NeF32 : Op::NeF, D, UL, UR);
       return Dst;
     default:
-      return bail();
+      return bail("float operator");
     }
   }
   if (PK == PrimType::Bool) {
@@ -1143,7 +1154,7 @@ int BCCompiler::emitPrimBinOp(BinOpKind BK, const PrimType *P, int L, int R,
       emit(Op::NeI, D, UL, UR);
       return Dst;
     default:
-      return bail();
+      return bail("bool operator");
     }
   }
 
@@ -1205,7 +1216,7 @@ int BCCompiler::emitPrimBinOp(BinOpKind BK, const PrimType *P, int L, int R,
     emit(Op::NeI, D, UL, UR);
     return Dst;
   default:
-    return bail();
+    return bail("integer operator");
   }
 }
 
@@ -1217,7 +1228,7 @@ int BCCompiler::compileCast(const CastExpr *C) {
   Type *From = C->Operand->Ty;
   Type *To = C->Ty;
   if (!From || !To)
-    return bail();
+    return bail("untyped conversion");
   if (From->isArray() && To->isPointer())
     return compileAddr(C->Operand);
   if (From == To)
@@ -1241,7 +1252,7 @@ int BCCompiler::compileCast(const CastExpr *C) {
   const auto *PF = dyn_cast<PrimType>(From);
   const auto *PT = dyn_cast<PrimType>(To);
   if (!PF || !PT)
-    return bail();
+    return bail("conversion between non-primitive types");
   int Srv = compileScalar(C->Operand);
   if (Srv < 0)
     return -1;
@@ -1319,10 +1330,10 @@ int BCCompiler::emitPrimCast(const PrimType *PF, const PrimType *PT,
       emit(Op::F2U64, D, S);
       return Dst;
     default:
-      return bail();
+      return bail("float conversion");
     }
   }
-  return bail();
+  return bail("primitive conversion");
 }
 
 int BCCompiler::emitNeg(PrimType::PrimKind PK, int V, int Into) {
@@ -1355,8 +1366,7 @@ int BCCompiler::emitMinMax(bool IsMin, PrimType::PrimKind PK, int A, int B,
   if (Dst < 0)
     return -1;
   Op O;
-  // The tree-walker compares all integer kinds through signed loadAsInt,
-  // so unsigned min/max also compare signed here.
+  // Integer kinds of every signedness compare as signed int64.
   if (PK == PrimType::Float64)
     O = IsMin ? Op::MinF : Op::MaxF;
   else if (PK == PrimType::Float32)
@@ -1374,7 +1384,7 @@ int BCCompiler::emitMinMax(bool IsMin, PrimType::PrimKind PK, int A, int B,
 
 int BCCompiler::compileScalar(const TerraExpr *E) {
   if (Bailed || !E || !E->Ty)
-    return bail();
+    return bail("untyped expression");
   switch (E->kind()) {
   case TerraNode::NK_Lit: {
     const auto *L = cast<LitExpr>(E);
@@ -1386,7 +1396,7 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
     case LitExpr::LK_Int: {
       const auto *P = dyn_cast<PrimType>(E->Ty);
       if (!P)
-        return bail();
+        return bail("integer literal of non-primitive type");
       PrimType::PrimKind PK = P->primKind();
       if (PK == PrimType::Float64) {
         double V = static_cast<double>(L->IntVal);
@@ -1434,13 +1444,7 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
     case LitExpr::LK_Float: {
       const auto *P = dyn_cast<PrimType>(E->Ty);
       if (!P)
-        return bail();
-      if (P->primKind() == PrimType::Float64) {
-        int64_t Bits;
-        memcpy(&Bits, &L->FloatVal, 8);
-        emit(Op::ConstF, D, 0, 0, Bits);
-        return Dst;
-      }
+        return bail("float literal of non-primitive type");
       if (P->primKind() == PrimType::Float32) {
         float V = static_cast<float>(L->FloatVal);
         int64_t Bits = 0;
@@ -1448,7 +1452,13 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
         emit(Op::ConstF32, D, 0, 0, Bits);
         return Dst;
       }
-      return bail(); // Float literal under int type: rare; tree handles it.
+      int64_t Bits;
+      memcpy(&Bits, &L->FloatVal, 8);
+      emit(Op::ConstF, D, 0, 0, Bits);
+      if (P->primKind() == PrimType::Float64)
+        return Dst;
+      // A float literal of integer or bool type converts as a cast does.
+      return emitPrimCast(cast<PrimType>(Ctx.types().float64()), P, Dst, Dst);
     }
     case LitExpr::LK_Bool:
       emit(Op::ConstI, D, 0, 0, L->BoolVal ? 1 : 0);
@@ -1464,13 +1474,13 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
            static_cast<int64_t>(reinterpret_cast<uintptr_t>(L->PtrVal)));
       return Dst;
     }
-    return bail();
+    return bail("literal");
   }
   case TerraNode::NK_Var: {
     const auto *V = cast<VarExpr>(E);
     auto It = Locals.find(V->Sym);
     if (It == Locals.end())
-      return bail();
+      return bail("undeclared local");
     if (!It->second.InFrame)
       return It->second.Reg;
     int A = compileAddr(E);
@@ -1492,7 +1502,8 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
     if (const auto *VT = dyn_cast<VectorType>(X->Base->Ty)) {
       int Lane = constLane(X->Idx, VT->length());
       if (const LocalInfo *L = laneLocal(X->Base))
-        return Lane < 0 ? bail() : L->Reg + Lane;
+        return Lane < 0 ? bail("runtime index into register lanes")
+                        : L->Reg + Lane;
       if (Lane >= 0 && !vectorInMemory(X->Base)) {
         Lanes V;
         return compileLanes(X->Base, V) ? V[Lane] : -1;
@@ -1505,7 +1516,7 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
         return -1;
       return Dst;
     }
-    // Rvalue aggregate base: evaluate it, then index (tree order).
+    // Rvalue aggregate base: evaluate it, then the index.
     int Base = compileAggValue(X->Base);
     if (Base < 0)
       return -1;
@@ -1558,12 +1569,12 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
     case UnOpKind::Neg: {
       const auto *P = dyn_cast<PrimType>(E->Ty);
       if (!P)
-        return bail();
+        return bail("negation of a non-primitive");
       int V = compileScalar(U->Operand);
       return V < 0 ? -1 : emitNeg(P->primKind(), V);
     }
     }
-    return bail();
+    return bail("unary operator");
   }
   case TerraNode::NK_BinOp:
     return compileBinOp(cast<BinOpExpr>(E), E);
@@ -1571,14 +1582,14 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
     return compileCast(cast<CastExpr>(E));
   case TerraNode::NK_Apply: {
     int R = compileCall(cast<ApplyExpr>(E));
-    return R == -2 ? bail() : R;
+    return R == -2 ? bail("void call used as a value") : R;
   }
   case TerraNode::NK_Intrinsic: {
     const auto *N = cast<IntrinsicExpr>(E);
     switch (N->IK) {
     case IntrinsicKind::Sizeof: {
       if (!N->TyRef.Resolved)
-        return bail();
+        return bail("unresolved sizeof");
       int Dst = tempReg();
       if (Dst < 0)
         return -1;
@@ -1590,7 +1601,7 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
     case IntrinsicKind::Max: {
       const auto *P = dyn_cast<PrimType>(E->Ty);
       if (!P || N->NumArgs != 2)
-        return bail();
+        return bail("min/max of non-primitives");
       int A = compileScalar(N->Args[0]);
       int B = compileScalar(N->Args[1]);
       if (A < 0 || B < 0)
@@ -1602,10 +1613,10 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
       // meaningful prefetch; the native backend lowers it for real).
       return compileScalar(N->Args[0]);
     }
-    return bail();
+    return bail("intrinsic");
   }
   default:
-    return bail();
+    return bail("scalar expression");
   }
 }
 
@@ -1629,7 +1640,7 @@ bool BCCompiler::storeToLValue(const TerraExpr *L, int Val) {
     if (const LocalInfo *LL = laneLocal(X->Base)) {
       int Lane = constLane(X->Idx, cast<VectorType>(LL->Ty)->length());
       if (Lane < 0)
-        return bail() >= 0;
+        return bail("runtime index into register lanes") >= 0;
       if (LL->Reg + Lane != Val)
         emit(Op::Mov, static_cast<uint16_t>(LL->Reg + Lane),
              static_cast<uint16_t>(Val));
@@ -1638,7 +1649,7 @@ bool BCCompiler::storeToLValue(const TerraExpr *L, int Val) {
   if (const auto *V = dyn_cast<VarExpr>(L)) {
     auto It = Locals.find(V->Sym);
     if (It == Locals.end())
-      return bail() >= 0;
+      return bail("undeclared local") >= 0;
     if (!It->second.InFrame) {
       if (It->second.Reg != Val)
         emit(Op::Mov, It->second.Reg, static_cast<uint16_t>(Val));
@@ -1675,7 +1686,7 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
     for (unsigned I = 0; I != D->NumNames; ++I) {
       auto It = Locals.find(D->Names[I].Sym);
       if (It == Locals.end())
-        return bail() >= 0;
+        return bail("undeclared local") >= 0;
       LocalInfo &L = It->second;
       Mark M = mark();
       if (I < D->NumInits) {
@@ -1724,7 +1735,7 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
   case TerraNode::NK_Assign: {
     const auto *A = cast<AssignStmt>(S);
     if (A->NumLHS != A->NumRHS)
-      return bail() >= 0;
+      return bail("assignment arity") >= 0;
     // Parallel semantics: all RHS evaluated into fresh temps before stores.
     struct RV {
       bool Scalar;
@@ -1826,17 +1837,16 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
     const auto *Fo = cast<ForNumStmt>(S);
     auto It = Locals.find(Fo->Var.Sym);
     if (It == Locals.end())
-      return bail() >= 0;
+      return bail("undeclared 'for' variable") >= 0;
     LocalInfo &L = It->second;
     const auto *P = dyn_cast<PrimType>(L.Ty);
     if (!P)
-      return bail() >= 0;
+      return bail("non-primitive 'for' variable") >= 0;
     PrimType::PrimKind PK = P->primKind();
     // The loop counts in int64. Lo/Hi/Step are typed as the loop variable:
-    // integral registers already hold the int64 values loadAsInt would
-    // produce; a float variable counts on their truncated values and
-    // round-trips through the variable each iteration, as the tree-walker
-    // does.
+    // integral registers already hold their int64 values; a float
+    // variable counts on their truncated values and round-trips through
+    // the variable each iteration, as the C backend does.
     bool FloatVar = isFloatPK(PK);
     Op ToVar = PK == PrimType::Float32 ? Op::I2F32 : Op::I2F;
     const auto *I64 = cast<PrimType>(Ctx.types().int64());
@@ -1933,28 +1943,28 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
   }
   case TerraNode::NK_Break: {
     if (BreakStack.empty())
-      return bail() >= 0;
+      return bail("'break' outside a loop") >= 0;
     BreakStack.back().push_back(emit(Op::Jmp, 0, 0, 0, -1));
     return true;
   }
   case TerraNode::NK_ExprStmt: {
     const TerraExpr *E = cast<ExprStmt>(S)->E;
     if (!E->Ty)
-      return bail() >= 0;
+      return bail("untyped expression statement") >= 0;
     if (E->Ty->isVoid()) {
       if (const auto *A = dyn_cast<ApplyExpr>(E))
         return compileCall(A) != -1 && !Bailed;
       if (const auto *N = dyn_cast<IntrinsicExpr>(E))
         if (N->IK == IntrinsicKind::Prefetch && N->NumArgs >= 1)
           return compileScalar(N->Args[0]) >= 0;
-      return bail() >= 0;
+      return bail("void expression statement") >= 0;
     }
     if (isScalarTy(E->Ty))
       return compileScalar(E) >= 0;
     return compileAggValue(E) >= 0;
   }
   default:
-    return bail() >= 0;
+    return bail("unexpected statement") >= 0;
   }
 }
 
@@ -1965,10 +1975,6 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
 std::shared_ptr<const Function> BCCompiler::run() {
   if (!Src->Body || !Src->FnTy || Src->IsExtern || Src->HostClosure)
     return nullptr;
-  if (Src->NumParams > MaxCallArgs) {
-    Why = {"more than 32 parameters", Src->Body->loc()};
-    return nullptr;
-  }
 
   Prepass Pre;
   for (unsigned I = 0; I != Src->NumParams; ++I)
@@ -1980,31 +1986,28 @@ std::shared_ptr<const Function> BCCompiler::run() {
   }
 
   // Assign storage: scalars and vectors that never have their address
-  // taken live in registers (one per lane); everything else lives in the
-  // byte-addressed frame.
+  // taken live in registers (one per lane) while the persistent budget
+  // lasts; everything else lives in the byte-addressed frame.
   for (auto &D : Pre.Decls) {
     if (Locals.count(D.first))
       continue;
     LocalInfo L;
-    L.Ty = D.second;
-    bool Vec = laneType(D.second) != nullptr;
-    if ((isScalarTy(D.second) || Vec) && !Pre.AddrTaken.count(D.first)) {
-      unsigned N = Vec ? cast<VectorType>(D.second)->length() : 1;
-      if (PersistentRegs + N > 4000) {
-        Why = {"register cap", Src->Body->loc()};
-        return nullptr;
-      }
+    L.Ty = D.first->DeclaredType;
+    bool Vec = laneType(L.Ty) != nullptr;
+    uint64_t N = Vec ? cast<VectorType>(L.Ty)->length() : 1;
+    if ((isScalarTy(L.Ty) || Vec) && !Pre.AddrTaken.count(D.first) &&
+        PersistentRegs + N <= MaxPersistentRegs) {
       L.Reg = PersistentRegs;
-      PersistentRegs += N;
+      PersistentRegs += static_cast<uint16_t>(N);
     } else {
       L.InFrame = true;
-      L.FrameOff = allocScratch(D.second->size());
+      CurLoc = D.second; // The frame-cap bail site.
+      L.FrameOff = allocScratch(L.Ty->size());
     }
     Locals[D.first] = L;
   }
   // Everything allocated so far is persistent; scratch goes above it.
   RegTop = RegMax = PersistentRegs;
-  uint32_t PersistentFrame = FrameTop;
   FrameMax = FrameTop;
 
   Out.Src = Src;
@@ -2038,7 +2041,6 @@ std::shared_ptr<const Function> BCCompiler::run() {
     Out.RetBytes = static_cast<uint32_t>(RT->size());
   }
 
-  (void)PersistentFrame;
   if (!compileBlock(Src->Body) || Bailed)
     return nullptr;
   if (RT && !RT->isVoid()) {
@@ -2079,11 +2081,8 @@ std::shared_ptr<const Function> compile(TerraContext &Ctx,
                                         BailSite *Why) {
   BCCompiler C(Ctx, F);
   std::shared_ptr<const Function> Out = C.run();
-  if (!Out && Why) {
+  if (!Out && Why)
     *Why = C.Why;
-    if (Why->Reason.empty())
-      Why->Reason = "unsupported construct";
-  }
   return Out;
 }
 

@@ -5,9 +5,9 @@
 // Terra function: fixed-width 16-byte instructions over an array of 8-byte
 // untyped register slots, plus a byte-addressed frame for aggregates and
 // address-taken locals. The VM (TerraVM.h) executes it with a computed-goto
-// dispatch loop roughly an order of magnitude faster than the tree-walking
-// evaluator, while preserving the tree-walker's semantics bit for bit — the
-// canonical register forms below mirror loadAsInt/loadAsDouble exactly.
+// dispatch loop, and the baseline JIT (TerraBaselineJIT.h) emits machine
+// code from it; both give the native backend's results bit for bit, with
+// integer values kept in the canonical register forms below.
 //
 // Canonical register forms:
 //   * signed integers  — sign-extended into Slot.I
@@ -24,10 +24,12 @@
 // only indexed by constants, keep their lanes in registers; every other
 // vector value lives in the frame like an aggregate.
 //
-// The compiler is partial only at its size limits (more than MaxCallArgs
-// call arguments or parameters, the register and frame caps): compile()
-// then returns null, names the bail site, and the caller falls back to the
-// tree-walker, so coverage gaps cost speed, never correctness.
+// The compiler covers every construct the typechecker produces. Call
+// arguments are staged through per-call-site frame scratch, locals past the
+// persistent-register budget live in the frame, and only a function past
+// the uint16_t register file or the uint32_t frame fails to compile: the
+// caller reports that as an error diagnostic naming the function and the
+// bail site. There is no fallback engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -202,10 +204,6 @@ constexpr unsigned NumOps = 0
 
 const char *opName(Op O);
 
-/// Upper bound on call-site arguments the VM stages on its stack; the
-/// compiler bails out (tree-walker fallback) beyond this.
-constexpr unsigned MaxCallArgs = 32;
-
 /// Fixed-width instruction. 16 bytes; the whole program is one contiguous
 /// std::vector<Insn> with no per-op heap allocation.
 struct Insn {
@@ -246,6 +244,9 @@ struct CallSite {
   RetKind RetLoad = RetKind::None; ///< How to move Ret bytes into DstReg.
   uint16_t DstReg = 0xFFFF;    ///< Scalar result register; 0xFFFF = none.
   uint32_t RetFrameOff = 0;    ///< Frame scratch the callee writes into.
+  /// Frame scratch holding the Args.size() FFI argument pointers the
+  /// engines stage when the call executes.
+  uint32_t ArgsFrameOff = 0;
   SourceLoc Loc;
 };
 
@@ -280,9 +281,8 @@ struct BailSite {
 };
 
 /// Compiles a typechecked, midend-run function to bytecode. Returns null
-/// when the function exceeds a bytecode size limit (>32 call arguments or
-/// parameters, register or frame caps) or uses a construct the compiler
-/// does not model; the caller falls back to the tree-walker. The first
+/// when the function needs more than the uint16_t register file or the
+/// uint32_t frame, or holds IR the typechecker does not produce; the first
 /// bail site is stored through \p Why when given. Never reports
 /// diagnostics.
 std::shared_ptr<const Function> compile(TerraContext &Ctx,

@@ -44,7 +44,7 @@ TerraCompiler::TerraCompiler(TerraContext &Ctx, Interp &I, BackendKind Backend,
     return;
   if (Backend == BackendKind::Tiered)
     Tiers = std::make_unique<TierManager>(JIT);
-  InterpBackend = std::make_unique<TerraInterpBackend>(Ctx, *this, Interpreter);
+  InterpBackend = std::make_unique<TerraInterpBackend>(Ctx, *this);
   if (Interpreter == InterpKind::Baseline && BaselineJIT::supported())
     Baseline = std::make_unique<BaselineJIT>(JIT.metrics());
 }
@@ -134,8 +134,9 @@ bool TerraCompiler::ensureCompiled(TerraFunction *F) {
   if (Tiers) {
     // Tiered execution: no C compiler on the critical path. Park the
     // generated module for background promotion and start on the VM now.
-    installTier0(std::move(Source), !CB.lastModuleBakedAddresses(),
-                 Component);
+    if (!installTier0(std::move(Source), !CB.lastModuleBakedAddresses(),
+                      Component))
+      return false;
     Timing.CodegenSeconds += T.seconds();
     ++Timing.ModulesCompiled;
     Timing.FunctionsCompiled += Component.size();
@@ -150,11 +151,13 @@ bool TerraCompiler::ensureCompiled(TerraFunction *F) {
   return OK;
 }
 
-void TerraCompiler::installTier0(std::string Source, bool Cacheable,
+bool TerraCompiler::installTier0(std::string Source, bool Cacheable,
                                  const std::vector<TerraFunction *> &Component) {
+  for (TerraFunction *Fn : Component)
+    if (!InterpBackend->compileBytecode(Fn))
+      return false;
   Tiers->registerComponent(std::move(Source), Cacheable, Component);
   for (TerraFunction *Fn : Component) {
-    InterpBackend->compileBytecode(Fn);
     if (Fn->Entry || !Fn->Tier)
       continue; // dispatcher already installed, or pre-tiering native code
     std::shared_ptr<TierState> TS = Fn->Tier;
@@ -177,6 +180,7 @@ void TerraCompiler::installTier0(std::string Source, bool Cacheable,
       Self->Tiers->noteBackEdges(*TS, BackEdges);
     };
   }
+  return true;
 }
 
 void *TerraCompiler::nativePointer(TerraFunction *F) {

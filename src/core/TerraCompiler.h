@@ -35,12 +35,11 @@ enum class BackendKind {
   Interp, ///< Never: no C compiler required.
 };
 
-/// What runs code cc has not compiled. Each engine falls back to the next
-/// one for constructs it does not handle.
+/// What runs code cc has not compiled. Both run the function's bytecode;
+/// the baseline JIT leaves functions its emitter does not handle to the VM.
 enum class InterpKind {
   Baseline, ///< Baseline x86-64 JIT over the bytecode VM.
   VM,       ///< Register-bytecode VM.
-  Tree,     ///< Tree-walking evaluator (the differential-test reference).
 };
 
 class TerraCompiler {
@@ -174,8 +173,9 @@ private:
   /// Tier-0 installation for a freshly generated component: parks the C
   /// source with the TierManager, compiles each function to bytecode, and
   /// installs the tiered dispatcher Entry (native code once promoted,
-  /// TerraInterpBackend::execute before).
-  void installTier0(std::string Source, bool Cacheable,
+  /// TerraInterpBackend::execute before). False when a function has no
+  /// bytecode (the error is reported).
+  bool installTier0(std::string Source, bool Cacheable,
                     const std::vector<TerraFunction *> &Component);
 
   TerraContext &Ctx;

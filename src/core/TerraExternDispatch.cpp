@@ -9,9 +9,9 @@
 
 using namespace terracpp;
 
-namespace terracpp {
-namespace interpruntime {
+namespace {
 
+/// Reads a scalar of prim kind \p PK from \p P widened to double.
 double loadAsDouble(PrimType::PrimKind PK, const void *P) {
   switch (PK) {
   case PrimType::Bool:
@@ -42,6 +42,8 @@ double loadAsDouble(PrimType::PrimKind PK, const void *P) {
   return 0;
 }
 
+/// Reads a scalar widened to int64 (sign- or zero-extended by PK; floats
+/// truncate toward zero).
 int64_t loadAsInt(PrimType::PrimKind PK, const void *P) {
   switch (PK) {
   case PrimType::Bool:
@@ -72,83 +74,10 @@ int64_t loadAsInt(PrimType::PrimKind PK, const void *P) {
   return 0;
 }
 
-void storeFromDouble(PrimType::PrimKind PK, void *P, double V) {
-  switch (PK) {
-  case PrimType::Bool:
-    *static_cast<uint8_t *>(P) = V != 0;
-    return;
-  case PrimType::Int8:
-    *static_cast<int8_t *>(P) = static_cast<int8_t>(V);
-    return;
-  case PrimType::Int16:
-    *static_cast<int16_t *>(P) = static_cast<int16_t>(V);
-    return;
-  case PrimType::Int32:
-    *static_cast<int32_t *>(P) = static_cast<int32_t>(V);
-    return;
-  case PrimType::Int64:
-    *static_cast<int64_t *>(P) = static_cast<int64_t>(V);
-    return;
-  case PrimType::UInt8:
-    *static_cast<uint8_t *>(P) = static_cast<uint8_t>(V);
-    return;
-  case PrimType::UInt16:
-    *static_cast<uint16_t *>(P) = static_cast<uint16_t>(V);
-    return;
-  case PrimType::UInt32:
-    *static_cast<uint32_t *>(P) = static_cast<uint32_t>(V);
-    return;
-  case PrimType::UInt64:
-    *static_cast<uint64_t *>(P) = static_cast<uint64_t>(V);
-    return;
-  case PrimType::Float32:
-    *static_cast<float *>(P) = static_cast<float>(V);
-    return;
-  case PrimType::Float64:
-    *static_cast<double *>(P) = V;
-    return;
-  case PrimType::Void:
-    return;
-  }
-}
+} // namespace
 
-size_t primSizeOf(PrimType::PrimKind PK) {
-  switch (PK) {
-  case PrimType::Bool:
-  case PrimType::Int8:
-  case PrimType::UInt8:
-    return 1;
-  case PrimType::Int16:
-  case PrimType::UInt16:
-    return 2;
-  case PrimType::Int32:
-  case PrimType::UInt32:
-  case PrimType::Float32:
-    return 4;
-  default:
-    return 8;
-  }
-}
-
-void storeFromInt(PrimType::PrimKind PK, void *P, int64_t V) {
-  switch (PK) {
-  case PrimType::Float32:
-    *static_cast<float *>(P) = static_cast<float>(V);
-    return;
-  case PrimType::Float64:
-    *static_cast<double *>(P) = static_cast<double>(V);
-    return;
-  default:
-    storeFromDouble(PK, P, static_cast<double>(V));
-    // Integer stores through double would lose precision for wide ints:
-    // handle 64-bit kinds exactly.
-    if (PK == PrimType::Int64)
-      *static_cast<int64_t *>(P) = V;
-    else if (PK == PrimType::UInt64)
-      *static_cast<uint64_t *>(P) = static_cast<uint64_t>(V);
-    return;
-  }
-}
+namespace terracpp {
+namespace interpruntime {
 
 bool dispatchExtern(const TerraFunction *F, void **Args,
                     const std::vector<Type *> &ArgTypes, void *Ret,

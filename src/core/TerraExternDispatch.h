@@ -1,16 +1,9 @@
-//===- TerraExternDispatch.h - Shared slow-path runtime helpers -*- C++ -*-===//
+//===- TerraExternDispatch.h - Interpreter-tier libc externs ---*- C++ -*-===//
 //
-// Scalar load/store helpers and the libc extern registry shared by the two
-// non-native execution engines: the tree-walking reference evaluator
-// (TerraInterpBackend) and the tier-0 register VM (TerraVM). Keeping one
-// implementation is what makes the engines bit-identical on the FFI
-// boundary — the differential tests (test_backends, test_fuzz) rely on it.
-//
-// Value representation convention (both engines): a scalar of prim kind PK
-// lives in memory with exactly PK's size and C layout; loadAsInt widens to
-// int64 with PK's signedness, loadAsDouble widens to double, and the store
-// helpers truncate back. 64-bit integer kinds round-trip exactly through
-// storeFromInt (the double path would lose precision).
+// The libc extern registry of the interpreter tiers: the bytecode VM and
+// the baseline JIT (which calls externs through the VM's call path) run
+// extern calls through this one implementation, so they agree on the FFI
+// boundary.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,23 +20,6 @@ namespace terracpp {
 class TerraFunction;
 
 namespace interpruntime {
-
-/// Reads a scalar of prim kind \p PK from \p P widened to double.
-double loadAsDouble(PrimType::PrimKind PK, const void *P);
-
-/// Reads a scalar widened to int64 (sign- or zero-extended by PK; floats
-/// truncate toward zero).
-int64_t loadAsInt(PrimType::PrimKind PK, const void *P);
-
-/// Stores \p V into \p P truncated to PK (C cast semantics).
-void storeFromDouble(PrimType::PrimKind PK, void *P, double V);
-
-/// Integer-exact variant: 64-bit kinds store V directly, narrower kinds go
-/// through the double path (identical bits for in-range values).
-void storeFromInt(PrimType::PrimKind PK, void *P, int64_t V);
-
-/// Size in bytes of a scalar of kind \p PK.
-size_t primSizeOf(PrimType::PrimKind PK);
 
 /// Calls the named libc extern with already-evaluated argument values
 /// (Args[i] points at the i-th value; ArgTypes are the static call-site

@@ -101,7 +101,7 @@ public:
   registerComponent(std::string CSource, bool Cacheable,
                     const std::vector<TerraFunction *> &Fns);
 
-  /// Counts one dispatch on \p Tier (0 = VM or tree-walker, 2 = baseline
+  /// Counts one dispatch on \p Tier (0 = bytecode VM, 2 = baseline
   /// JIT, 1 = native). Pre-native calls of both kinds count toward the same
   /// call threshold, which queues the component when reached; native calls
   /// are telemetry only.

@@ -40,7 +40,7 @@ bool fail(vm::ExecEnv &S, SourceLoc Loc, const std::string &Msg) {
 }
 
 /// Canonicalizes the FFI bytes at \p Src (C layout of \p Ty) into a register
-/// slot, exactly as the tree-walker's loadAsInt/loadAsDouble widen them.
+/// slot: integers widen to int64/uint64, floats stay in their own width.
 bool loadCanonical(Slot &Dst, const Type *Ty, const void *Src) {
   if (Ty->isPointer() || Ty->isFunction()) {
     memcpy(&Dst.P, Src, sizeof(void *));
@@ -186,17 +186,14 @@ void writeRet(const Function &F, const Slot &V, void *Ret) {
 
 bool runOne(const Function &F, void **Args, void *Ret, vm::ExecEnv &S);
 
-/// One out-of-line call. Stages argument pointers in FFI convention
-/// (scalars point at their canonical slot — the low bytes are the C layout
-/// of every scalar type on a little-endian host; aggregates pass their
-/// address), picks the fastest engine that can run the callee, and
-/// canonicalizes the scalar result back into the destination register.
+/// One out-of-line call. Stages argument pointers in FFI convention in the
+/// call site's frame scratch (scalars point at their canonical slot — the
+/// low bytes are the C layout of every scalar type on a little-endian host;
+/// aggregates pass their address), picks the fastest engine that can run
+/// the callee, and canonicalizes the scalar result back into the
+/// destination register.
 bool doCall(const CallSite &CS, Slot *R, uint8_t *Frame, vm::ExecEnv &S) {
-  void *ArgPtrs[MaxCallArgs];
-  for (size_t I = 0, N = CS.Args.size(); I != N; ++I) {
-    const CallSite::Arg &A = CS.Args[I];
-    ArgPtrs[I] = A.ByAddr ? R[A.Reg].P : static_cast<void *>(&R[A.Reg]);
-  }
+  void **ArgPtrs = vm::stageCallArgs(CS, R, Frame);
   void *RetPtr = (CS.RetTy && !CS.RetTy->isVoid()) ? Frame + CS.RetFrameOff
                                                    : nullptr;
   auto *Callee = const_cast<TerraFunction *>(CS.Callee);
@@ -219,14 +216,12 @@ bool doCall(const CallSite &CS, Slot *R, uint8_t *Frame, vm::ExecEnv &S) {
       return fail(S, CS.Loc, Err);
   } else if (Callee->HostClosure) {
     if (!S.Comp.invokeHostClosure(Callee->HostClosureId, ArgPtrs, RetPtr)) {
-      // The tree-walker propagates host-closure failure without adding a
-      // diagnostic (the host side already reported); mirror that.
+      // The host side already reported the failure; add no diagnostic.
       S.Failed = true;
       return false;
     }
   } else if (Callee->Bytecode && !Callee->Tier) {
-    // Pure tier-0 callee: recurse directly, sharing the depth budget the
-    // way the tree-walker's runFunction recursion does.
+    // Pure tier-0 callee: recurse directly, sharing the depth budget.
     if (!runOne(*Callee->Bytecode, ArgPtrs, RetPtr, S))
       return false;
   } else {
@@ -641,6 +636,16 @@ namespace vm {
 unsigned &callDepth() {
   static thread_local unsigned Depth = 0;
   return Depth;
+}
+
+void **stageCallArgs(const bytecode::CallSite &CS, bytecode::Slot *R,
+                     uint8_t *Frame) {
+  auto **ArgPtrs = reinterpret_cast<void **>(Frame + CS.ArgsFrameOff);
+  for (size_t I = 0, N = CS.Args.size(); I != N; ++I) {
+    const CallSite::Arg &A = CS.Args[I];
+    ArgPtrs[I] = A.ByAddr ? R[A.Reg].P : static_cast<void *>(&R[A.Reg]);
+  }
+  return ArgPtrs;
 }
 
 bool failStackOverflow(ExecEnv &Env) {

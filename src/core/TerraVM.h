@@ -7,10 +7,11 @@
 // dispatcher, back edges accumulated in ExecEnv) drive background promotion
 // to native code.
 //
-// Semantics are the tree-walking evaluator's, bit for bit: same canonical
-// widening, same trap messages ("terra interpreter: ..." diagnostics), same
-// extern registry (TerraExternDispatch), same depth limit. The differential
-// tests in test_backends/test_fuzz pin this equivalence.
+// Results are the native backend's, bit for bit; the baseline JIT shares the
+// trap messages ("terra interpreter: ..." diagnostics), the extern registry
+// (TerraExternDispatch) and the depth limit. The differential tests in
+// test_backends/test_fuzz pin this equivalence against native code and
+// literal expected values.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +31,8 @@ namespace vm {
 
 /// Per-invocation execution context. One ExecEnv spans an outermost entry
 /// and all bytecode-to-bytecode recursion under it; calls that leave the VM
-/// (externs, host closures, Entry thunks) get fresh state on re-entry, as
-/// the tree-walker's nested TEval instances do. Call depth is deliberately
+/// (externs, host closures, Entry thunks) get fresh state on re-entry. Call
+/// depth is deliberately
 /// NOT part of this state: it lives in a per-thread counter (callDepth())
 /// so recursion that crosses dispatcher-thunk boundaries — where each hop
 /// constructs a fresh ExecEnv — still runs into the depth limit instead of
@@ -103,6 +104,11 @@ void execTrap(const bytecode::Function &F, uint64_t Idx, ExecEnv &Env);
 /// Materializes the value of function \p Fn into \p Dst (machine address
 /// under tiered execution, the TerraFunction otherwise). False on failure.
 bool execFnLit(TerraFunction *Fn, bytecode::Slot &Dst, ExecEnv &Env);
+
+/// Writes the FFI argument pointers of call site \p CS into its frame
+/// scratch (Frame + CS.ArgsFrameOff) and returns that array.
+void **stageCallArgs(const bytecode::CallSite &CS, bytecode::Slot *R,
+                     uint8_t *Frame);
 
 /// Canonicalizes a staged call result into a register slot (VM loadRet).
 void loadCallResult(bytecode::Slot &Dst, bytecode::RetKind K,

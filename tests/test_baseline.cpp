@@ -3,8 +3,9 @@
 // Covers the direct-emission baseline JIT (DESIGN.md §11):
 //   * bytecode-eligible programs actually run through emitted machine code
 //     (telemetry proves it — not a silent VM fallback);
-//   * results match the tree-walking evaluator bit for bit across the same
-//     corpus the VM parity battery uses;
+//   * results match literal expected values (the tree-walking evaluator's
+//     results before it was deleted) and native code bit for bit across
+//     the same corpus the VM parity battery uses;
 //   * traps (division by zero, null deref) produce the same diagnostic text
 //     and source location as the interpreter tiers;
 //   * programs the emitter bails on (oversized frames) fall back to the VM
@@ -50,11 +51,13 @@ uint64_t baselineFunctions(Engine &E) {
 
 /// Differential corpus: same shape as the VM parity battery, plus cases
 /// aimed at the emitter specifically (float compares, unsigned division,
-/// conversion edge cases, call-heavy code).
+/// conversion edge cases, call-heavy code). Expected is the tree-walking
+/// evaluator's result, recorded before its deletion.
 struct Program {
   const char *Name;
   const char *Src; ///< Defines terra `f`.
   double Arg;
+  double Expected;
 };
 
 const Program Corpus[] = {
@@ -64,14 +67,14 @@ const Program Corpus[] = {
      "  x = x + [uint8](n)\n"
      "  return x\n"
      "end",
-     10},
+     10, 4},
     {"float_precision",
      "terra f(k: double): double\n"
      "  var a: float = k\n"
      "  var b: float = 3.1\n"
      "  return a * b\n"
      "end",
-     1.7},
+     1.7, 5.2699999809265137},
     {"struct_byval",
      "struct P { x : int; y : int }\n"
      "terra shift(p: P, d: int): P return P { p.x + d, p.y - d } end\n"
@@ -80,13 +83,13 @@ const Program Corpus[] = {
      "  p = shift(p, 3)\n"
      "  return p.x * 100 + p.y\n"
      "end",
-     4},
+     4, 705},
     {"recursion_deep",
      "terra f(n: int): int\n"
      "  if n == 0 then return 0 end\n"
      "  return f(n - 1) + n\n"
      "end",
-     100},
+     100, 5050},
     {"nested_loops",
      "terra f(n: int): int\n"
      "  var s = 0\n"
@@ -97,7 +100,7 @@ const Program Corpus[] = {
      "  end\n"
      "  return s\n"
      "end",
-     25},
+     25, 109},
     {"pointer_walk",
      "terra f(n: int): int\n"
      "  var a: int[32]\n"
@@ -107,7 +110,7 @@ const Program Corpus[] = {
      "  while p ~= &a[0] + n do s = s + @p p = p + 1 end\n"
      "  return s\n"
      "end",
-     20},
+     20, 570},
     {"float_compare_chain",
      "terra f(k: double): double\n"
      "  var s: double = 0\n"
@@ -119,7 +122,7 @@ const Program Corpus[] = {
      "  end\n"
      "  return s + x\n"
      "end",
-     2.25},
+     2.25, 525.73581986918862},
     {"unsigned_divmod",
      "terra f(n: int): double\n"
      "  var a: uint64 = [uint64](n) * 2654435761ULL\n"
@@ -127,7 +130,7 @@ const Program Corpus[] = {
      "  return [double](a % 1000003ULL) + [double](a / 97ULL % 4096ULL)\n"
      "       + [double]([uint32](a) / b)\n"
      "end",
-     123456},
+     123456, 196804},
     {"conversion_matrix",
      "terra f(k: double): double\n"
      "  var s: double = 0\n"
@@ -141,7 +144,7 @@ const Program Corpus[] = {
      "  s = s + [float](k) * 0.5\n"
      "  return s\n"
      "end",
-     9.75},
+     9.75, 9751969813.875},
     {"min_max_mixed",
      "terra f(k: double): double\n"
      "  var a: double = k\n"
@@ -152,7 +155,7 @@ const Program Corpus[] = {
      "  var m2: int = hi if lo > hi then m2 = lo end\n"
      "  return m1 + m2\n"
      "end",
-     6.5},
+     6.5, 9.5},
     {"call_chain",
      "terra leaf(x: int, y: int): int return x * y + 1 end\n"
      "terra mid(x: int): int return leaf(x, x + 1) + leaf(x - 1, 2) end\n"
@@ -161,7 +164,7 @@ const Program Corpus[] = {
      "  for i = 0, n do s = s + mid(i) end\n"
      "  return s\n"
      "end",
-     40},
+     40, 22880},
     {"while_with_break",
      "terra f(n: int): int\n"
      "  var s = 0\n"
@@ -173,7 +176,7 @@ const Program Corpus[] = {
      "  end\n"
      "  return s\n"
      "end",
-     33},
+     33, 1056},
 };
 
 class BaselineParityTest : public ::testing::TestWithParam<size_t> {};
@@ -182,23 +185,20 @@ TEST_P(BaselineParityTest, MatchesTreeWalker) {
   if (!BaselineJIT::supported())
     GTEST_SKIP() << "baseline JIT not supported on this architecture";
   const Program &P = Corpus[GetParam()];
-  double Tree, Base;
-  {
-    ScopedEnv Force("TERRACPP_INTERP", "tree");
-    Engine E(BackendKind::Interp);
-    ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
-    Tree = callF(E, P.Arg);
-  }
   {
     // Default interp mode: the baseline JIT fronts the bytecode VM.
     ScopedEnv Pin("TERRACPP_INTERP", "baseline");
     Engine E(BackendKind::Interp);
     ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
-    Base = callF(E, P.Arg);
+    EXPECT_EQ(callF(E, P.Arg), P.Expected) << P.Name;
     // Machine code was actually emitted and used — not a VM fallback.
     EXPECT_GE(baselineFunctions(E), 1u) << P.Name;
   }
-  EXPECT_DOUBLE_EQ(Tree, Base) << P.Name;
+  if (Engine::defaultBackend() != BackendKind::Interp) {
+    Engine E(BackendKind::Native);
+    ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
+    EXPECT_EQ(callF(E, P.Arg), P.Expected) << P.Name << " native";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, BaselineParityTest,
@@ -211,7 +211,8 @@ TEST(Baseline, TrapMessagesAndLocationsMatchInterpreter) {
   if (!BaselineJIT::supported())
     GTEST_SKIP();
   // Line 2 divides; the diagnostic must carry the same text and source
-  // position whether the trap fires in emitted code or the tree-walker.
+  // position whether the trap fires in emitted code or in the VM: the
+  // tree-walker's, pinned literally.
   const char *Src = "terra f(n: int): int\n"
                     "  return 10 / n\n"
                     "end";
@@ -225,23 +226,21 @@ TEST(Baseline, TrapMessagesAndLocationsMatchInterpreter) {
     R.clear();
     EXPECT_FALSE(E.call(E.global("f"), {Value::number(0)}, R));
     Errs[Idx] = E.errors();
-    EXPECT_NE(Errs[Idx].find("division by zero"), std::string::npos)
-        << Errs[Idx];
+    EXPECT_EQ(Errs[Idx].substr(0, Errs[Idx].find('\n')),
+              "trap.t:2:13: error: terra interpreter: integer division by zero");
     if (Baseline)
       EXPECT_GE(baselineFunctions(E), 1u)
           << "trap test never reached emitted code";
   };
   {
-    ScopedEnv Force("TERRACPP_INTERP", "tree");
+    ScopedEnv Force("TERRACPP_INTERP", "vm");
     RunCase(0, false);
   }
   {
     ScopedEnv Pin("TERRACPP_INTERP", "baseline");
     RunCase(1, true);
   }
-  // Same source location: both diagnostics name the file and line.
-  EXPECT_NE(Errs[1].find("trap.t"), std::string::npos) << Errs[1];
-  EXPECT_NE(Errs[1].find(":2"), std::string::npos) << Errs[1];
+  EXPECT_EQ(Errs[0], Errs[1]);
 }
 
 TEST(Baseline, NullDerefTrapsCleanly) {
@@ -268,8 +267,8 @@ TEST(Baseline, BuilderMinMaxIntrinsicsMatchTreeWalker) {
   // Scalar min/max come from the staging builder (no surface syntax); the
   // emitter's minsd/maxsd operand order must reproduce the VM's
   // select-style semantics exactly.
-  auto Run = [](bool Tree) {
-    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "baseline");
+  auto Run = [](const char *Interp) {
+    ScopedEnv Force("TERRACPP_INTERP", Interp);
     Engine E(BackendKind::Interp);
     stage::Builder B(E.context());
     TypeContext &TC = E.context().types();
@@ -288,10 +287,9 @@ TEST(Baseline, BuilderMinMaxIntrinsicsMatchTreeWalker) {
         << E.errors();
     return R.empty() ? 0.0 : R[0].asNumber();
   };
-  double Tree = Run(true);
-  double Base = Run(false);
-  EXPECT_DOUBLE_EQ(Tree, 307.0);
-  EXPECT_DOUBLE_EQ(Base, Tree);
+  // 307 is the tree-walker's result.
+  EXPECT_EQ(Run("vm"), 307.0);
+  EXPECT_EQ(Run("baseline"), 307.0);
 }
 
 TEST(Baseline, DeepRecursionOverflowsGracefully) {
@@ -364,24 +362,18 @@ TEST(Baseline, OversizedFrameBailsOutToVMWithIdenticalResults) {
                     "  for i = 0, n do s = s + a[i] end\n"
                     "  return s\n"
                     "end";
-  double Tree;
-  {
-    ScopedEnv Force("TERRACPP_INTERP", "tree");
-    Engine E(BackendKind::Interp);
-    ASSERT_TRUE(E.run(Src, "big.t")) << E.errors();
-    Tree = callF(E, 1000);
-  }
+  const double Want = 249750.0; // The tree-walker's result.
   ScopedEnv Pin("TERRACPP_INTERP", "baseline");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run(Src, "big.t")) << E.errors();
-  EXPECT_DOUBLE_EQ(callF(E, 1000), Tree);
+  EXPECT_EQ(callF(E, 1000), Want);
   EXPECT_GE(
       E.compiler().jit().metrics().counter("jit.baseline_bailouts").value(),
       1u);
   // The bailout is remembered: repeated calls do not re-attempt emission.
   uint64_t Bailouts =
       E.compiler().jit().metrics().counter("jit.baseline_bailouts").value();
-  EXPECT_DOUBLE_EQ(callF(E, 1000), Tree);
+  EXPECT_EQ(callF(E, 1000), Want);
   EXPECT_EQ(
       E.compiler().jit().metrics().counter("jit.baseline_bailouts").value(),
       Bailouts);
@@ -541,7 +533,6 @@ TEST(EnvParse, ExecutionPolicyResolvesEveryValue) {
   const std::pair<const char *, InterpKind> Interps[] = {
       {"baseline", InterpKind::Baseline},
       {"vm", InterpKind::VM},
-      {"tree", InterpKind::Tree},
       {"VM", InterpKind::VM}};
   for (const auto &B : Backends)
     for (const auto &In : Interps) {
@@ -577,6 +568,13 @@ TEST(EnvParse, ExecutionPolicyResolvesEveryValue) {
   EXPECT_EQ(countOf(testing::internal::GetCapturedStderr(),
                     "TERRACPP_BACKEND"),
             1u);
+  // The tree-walker is gone: "tree" is garbage too.
+  ScopedEnv Tree("TERRACPP_INTERP", "tree");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(Engine::defaultInterp(), InterpKind::Baseline);
+  EXPECT_EQ(Engine::defaultInterp(), InterpKind::Baseline);
+  EXPECT_EQ(
+      countOf(testing::internal::GetCapturedStderr(), "TERRACPP_INTERP"), 1u);
 }
 
 //===----------------------------------------------------------------------===//

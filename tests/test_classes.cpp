@@ -134,8 +134,6 @@ TEST(Classes, InterfaceDispatch) {
 }
 
 TEST(Classes, LayoutPrefixProperty) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // The child's layout must start with the parent's layout so pointer
   // upcasts are safe (paper: "the beginning of each object has the same
   // layout as an object of the parent").
@@ -184,8 +182,6 @@ TEST(Classes, InheritedMethodCallableOnChild) {
 }
 
 TEST(Classes, InvalidDowncastRejected) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // &Shape -> &Square is not a subtype conversion; typechecking must fail.
   ShapeWorld W;
   Builder B(W.E.context());

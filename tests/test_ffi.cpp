@@ -107,10 +107,9 @@ TEST(FFI, TerraFunctionAsFunctionPointerArgument) {
 }
 
 TEST(FFI, HostClosureCalledFromDeepTerra) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   // A Lua function wrapped with terralib.cast, called from a Terra loop —
-  // native code trampolining back into the interpreter per iteration.
+  // Terra code (native, or the bytecode tiers without cc) trampolining
+  // back into the host interpreter per iteration.
   Engine E;
   ASSERT_TRUE(E.run("local calls = 0\n"
                     "local function observe(x)\n"
@@ -131,7 +130,7 @@ TEST(FFI, HostClosureCalledFromDeepTerra) {
   EXPECT_EQ(R[0].asNumber(), 16);
   R.clear();
   ASSERT_TRUE(E.call(E.global("getcalls"), {}, R));
-  EXPECT_EQ(R[0].asNumber(), 4); // Host state mutated by native code.
+  EXPECT_EQ(R[0].asNumber(), 4); // Host state mutated by Terra code.
 }
 
 TEST(FFI, TerralibNewBuildsTypedCData) {
@@ -183,8 +182,6 @@ TEST(FFI, SaveObjSharedLibraryRunsWithoutTheEngine) {
 }
 
 TEST(FFI, SaveObjCSourceIsSelfContained) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   const char *Path = "/tmp/terracpp_ffi_test.c";
   Engine E;
   ASSERT_TRUE(E.run("terra sq(x: double): double return x * x end\n"
@@ -201,8 +198,6 @@ TEST(FFI, SaveObjCSourceIsSelfContained) {
 }
 
 TEST(FFI, SaveObjRejectsHostClosures) {
-  if (!nativeAvailable())
-    GTEST_SKIP();
   Engine E;
   EXPECT_FALSE(E.run(
       "local f = terralib.cast(int -> int, function(x) return x end)\n"

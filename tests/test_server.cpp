@@ -490,10 +490,6 @@ TEST(Terrad, BaselineTierEchoedAndCountedInMetrics) {
   ASSERT_TRUE(T && T->isObject());
   EXPECT_GE(T->getNumber("baseline_calls"), 1.0);
   EXPECT_EQ(T->getNumber("cc_unavailable"), 0.0);
-  // Every function compiled to bytecode: no tree-walker fallbacks.
-  const Value *Counters = Jit->get("counters");
-  ASSERT_TRUE(Counters && Counters->isObject());
-  EXPECT_EQ(Counters->getNumber("interp.tree_fallbacks", -1), 0.0);
 }
 
 TEST(Terrad, TraceIdEchoedOnEveryResponse) {

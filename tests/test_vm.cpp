@@ -2,12 +2,14 @@
 //
 // Covers the bytecode compiler + computed-goto VM that back tier-0
 // execution (DESIGN.md §10):
-//   * bytecode actually gets compiled and executed for eligible functions
-//     (not silently falling back to the tree-walker);
-//   * VM results match the tree-walking evaluator bit for bit across
-//     arithmetic, loops, structs, recursion, and traps;
+//   * every function gets compiled to bytecode and executed on it;
+//   * VM results match literal expected values (the tree-walking
+//     evaluator's results before it was deleted) and native code, bit for
+//     bit, across arithmetic, loops, structs, recursion, and traps;
 //   * vector code (lowered to lanes) and indirect calls compile to
 //     bytecode too, with results unchanged;
+//   * functions past the old size limits (5000 locals, a 5 MiB frame)
+//     compile to bytecode;
 //   * dispatch latency and back-edge telemetry is recorded.
 //
 //===----------------------------------------------------------------------===//
@@ -44,8 +46,7 @@ TEST(VM, CompilesLoopHeavyKernelToBytecode) {
   EXPECT_EQ(callF(E, 10), 285);
   TerraFunction *F = E.terraFunction("f");
   ASSERT_NE(F, nullptr);
-  // The call above must have gone through the bytecode engine: the program
-  // is fully eligible, so prepare() compiles it rather than tree-walking.
+  // The call above must have gone through the bytecode engine.
   ASSERT_NE(F->Bytecode, nullptr);
   EXPECT_GT(F->Bytecode->Code.size(), 0u);
   EXPECT_GT(F->Bytecode->NumRegs, 0u);
@@ -116,7 +117,7 @@ TEST(VM, IndirectCallCompilesToBytecode) {
   ASSERT_EQ(F->Bytecode->Calls.size(), 1u);
   EXPECT_EQ(F->Bytecode->Calls[0].Callee, nullptr); // Read from a register.
   EXPECT_NE(E.terraFunction("add1")->Bytecode, nullptr);
-  // A null function value traps with the tree-walker's diagnostic.
+  // A null function value traps with the interpreter's diagnostic.
   ASSERT_TRUE(E.run("terra g(n: int): int\n"
                     "  var fp = [int -> int](nil)\n"
                     "  return fp(n)\n"
@@ -128,10 +129,82 @@ TEST(VM, IndirectCallCompilesToBytecode) {
       << E.errors();
 }
 
+// Locals past the persistent-register budget live in the frame: a staged
+// function with 5000 scalar locals still compiles to bytecode.
+TEST(VM, FiveThousandLocalsCompileToBytecode) {
+  Engine E(BackendKind::Interp);
+  ASSERT_TRUE(E.run("local n = symbol(int, 'n')\n"
+                    "local acc = symbol(int, 'acc')\n"
+                    "local body = terralib.newlist()\n"
+                    "body:insert(quote var [acc] = 0 end)\n"
+                    "local xs = terralib.newlist()\n"
+                    "for i = 1, 5000 do\n"
+                    "  local x = symbol(int, 'x' .. i)\n"
+                    "  xs:insert(x)\n"
+                    "  body:insert(quote var [x] = [n] + i end)\n"
+                    "end\n"
+                    "for _, x in ipairs(xs) do\n"
+                    "  body:insert(quote [acc] = [acc] + [x] end)\n"
+                    "end\n"
+                    "terra f([n]): int\n"
+                    "  [body]\n"
+                    "  return [acc]\n"
+                    "end"))
+      << E.errors();
+  EXPECT_EQ(callF(E, 1), 12507500); // 5000 * 1 + 5000 * 5001 / 2
+  TerraFunction *F = E.terraFunction("f");
+  ASSERT_NE(F, nullptr);
+  ASSERT_NE(F->Bytecode, nullptr);
+  EXPECT_GT(F->Bytecode->FrameBytes, 0u); // The overflow locals.
+}
+
+// A frame past the old 4 MiB cap compiles to bytecode; the baseline JIT
+// leaves the activation to the VM's heap frame.
+TEST(VM, FiveMiBFrameCompilesToBytecode) {
+  for (const char *Interp : {"vm", "baseline"}) {
+    ScopedEnv Force("TERRACPP_INTERP", Interp);
+    Engine E(BackendKind::Interp);
+    ASSERT_TRUE(E.run("terra f(n: int): int\n"
+                      "  var a: int[1310720]\n" // 5 MiB
+                      "  a[1310719] = n\n"
+                      "  for i = 0, 1000 do a[i * 1000] = i end\n"
+                      "  return a[1310719] + a[999000]\n"
+                      "end"))
+        << E.errors();
+    EXPECT_EQ(callF(E, 7), 1006) << Interp;
+    TerraFunction *F = E.terraFunction("f");
+    ASSERT_NE(F, nullptr);
+    ASSERT_NE(F->Bytecode, nullptr) << Interp;
+    EXPECT_GE(F->Bytecode->FrameBytes, 5u << 20) << Interp;
+  }
+}
+
+// Past the uint32_t frame the bytecode compiler gives up, and with no
+// other interpreter that is a compile error naming the function and the
+// bail site (nothing is allocated or run).
+TEST(VM, FrameBeyondUint32IsACompileError) {
+  Engine E(BackendKind::Interp);
+  ASSERT_TRUE(E.run("terra f(n: int): int\n"
+                    "  var a: int8[5000000000]\n"
+                    "  a[n] = 1\n"
+                    "  return a[n]\n"
+                    "end",
+                    "huge.t"))
+      << E.errors();
+  std::vector<Value> R;
+  EXPECT_FALSE(E.call(E.global("f"), {Value::number(1)}, R));
+  EXPECT_NE(E.errors().find("huge.t:2:3: error: terra interpreter: cannot "
+                            "compile function 'f' to bytecode: frame cap"),
+            std::string::npos)
+      << E.errors();
+  EXPECT_EQ(E.terraFunction("f")->Bytecode, nullptr);
+}
+
 TEST(VM, TrapsMatchTreeWalker) {
-  // Division by zero must produce a diagnostic, not UB, on both engines.
-  for (bool Tree : {false, true}) {
-    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "vm");
+  // Division by zero must produce a diagnostic, not UB, on both interpreter
+  // engines: the tree-walker's text and location, pinned literally.
+  for (const char *Interp : {"vm", "baseline"}) {
+    ScopedEnv Force("TERRACPP_INTERP", Interp);
     Engine E(BackendKind::Interp);
     ASSERT_TRUE(E.run("terra f(n: int): int return 10 / n end"))
         << E.errors();
@@ -140,9 +213,11 @@ TEST(VM, TrapsMatchTreeWalker) {
     EXPECT_EQ(R[0].asNumber(), 2);
     R.clear();
     EXPECT_FALSE(E.call(E.global("f"), {Value::number(0)}, R))
-        << "engine=" << (Tree ? "tree" : "vm");
-    EXPECT_NE(E.errors().find("division by zero"), std::string::npos)
-        << E.errors();
+        << "engine=" << Interp;
+    std::string Errs = E.errors();
+    EXPECT_EQ(Errs.substr(0, Errs.find('\n')),
+              "chunk:1:32: error: terra interpreter: integer division by zero")
+        << "engine=" << Interp;
   }
 }
 
@@ -244,12 +319,14 @@ TEST(VM, AnalysisFoldsProvenDeadBranch) {
   EXPECT_EQ(Dis.find("JmpIfFalse"), std::string::npos) << Dis;
 }
 
-/// The differential battery: every program runs under the VM and under the
-/// forced tree-walker; results must agree exactly.
+/// The parity battery: every program runs under the VM, and under native
+/// code when a C compiler is present; both must return Expected exactly
+/// (the tree-walking evaluator's result, recorded before its deletion).
 struct Program {
   const char *Name;
   const char *Src; ///< Defines terra `f`.
   double Arg;
+  double Expected;
 };
 
 const Program Parity[] = {
@@ -259,14 +336,14 @@ const Program Parity[] = {
      "  x = x + [uint8](n)\n" // wraps mod 256
      "  return x\n"
      "end",
-     10},
+     10, 4},
     {"float_precision",
      "terra f(k: double): double\n"
      "  var a: float = k\n"
      "  var b: float = 3.1\n"
      "  return a * b\n" // must round through float, not double
      "end",
-     1.7},
+     1.7, 5.2699999809265137},
     {"struct_byval",
      "struct P { x : int; y : int }\n"
      "terra shift(p: P, d: int): P return P { p.x + d, p.y - d } end\n"
@@ -275,13 +352,13 @@ const Program Parity[] = {
      "  p = shift(p, 3)\n"
      "  return p.x * 100 + p.y\n"
      "end",
-     4},
+     4, 705},
     {"recursion_deep",
      "terra f(n: int): int\n"
      "  if n == 0 then return 0 end\n"
      "  return f(n - 1) + n\n"
      "end",
-     100},
+     100, 5050},
     {"nested_loops",
      "terra f(n: int): int\n"
      "  var s = 0\n"
@@ -292,7 +369,7 @@ const Program Parity[] = {
      "  end\n"
      "  return s\n"
      "end",
-     25},
+     25, 109},
     {"pointer_walk",
      "terra f(n: int): int\n"
      "  var a: int[32]\n"
@@ -302,7 +379,7 @@ const Program Parity[] = {
      "  while p ~= &a[0] + n do s = s + @p p = p + 1 end\n"
      "  return s\n"
      "end",
-     20},
+     20, 570},
     {"shift_mix",
      "terra f(n: int): int64\n"
      "  var acc: int64 = 0\n"
@@ -312,21 +389,23 @@ const Program Parity[] = {
      "  end\n"
      "  return acc\n"
      "end",
-     12},
+     12, 4293931519},
 };
 
 class VMParityTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(VMParityTest, MatchesTreeWalker) {
   const Program &P = Parity[GetParam()];
-  double Got[2];
-  for (int Tree = 0; Tree != 2; ++Tree) {
-    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "vm");
-    Engine E(BackendKind::Interp);
+  bool HaveCC = Engine::defaultBackend() != BackendKind::Interp;
+  for (BackendKind Backend : {BackendKind::Interp, BackendKind::Native}) {
+    if (Backend == BackendKind::Native && !HaveCC)
+      continue;
+    ScopedEnv Force("TERRACPP_INTERP", "vm");
+    Engine E(Backend);
     ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
-    Got[Tree] = callF(E, P.Arg);
+    EXPECT_EQ(callF(E, P.Arg), P.Expected)
+        << P.Name << (Backend == BackendKind::Native ? " native" : " vm");
   }
-  EXPECT_DOUBLE_EQ(Got[0], Got[1]) << P.Name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, VMParityTest,

@@ -52,8 +52,9 @@ void usage() {
           "                     call), tiered (start interpreted, promote hot\n"
           "                     code in the background) or interp (never).\n"
           "                     Default $TERRACPP_BACKEND, else native if cc\n"
-          "                     is on PATH. TERRACPP_INTERP={baseline,vm,\n"
-          "                     tree} picks the interpreter\n"
+          "                     is on PATH. TERRACPP_INTERP picks what runs\n"
+          "                     uncompiled code: baseline (JIT, default) or\n"
+          "                     vm (bytecode interpreter)\n"
           "  --dump-fn NAME     pretty-print terra function NAME\n"
           "  --emit-c NAME      print generated C for NAME\n"
           "  --analyze          run the terracheck lints (TA001..TA008) over\n"
@@ -236,11 +237,6 @@ void printTimeReport(Engine &E) {
   };
   Global.forEachHistogram(Rest);
   Jit.forEachHistogram(Rest);
-  // Functions the interpreter tiers ran on the tree-walker because the
-  // bytecode compiler bailed (always printed: CI gates on it being 0).
-  fprintf(stderr, "  %-32s %8llu\n", "interp.tree_fallbacks",
-          static_cast<unsigned long long>(
-              Jit.counter("interp.tree_fallbacks").value()));
 }
 
 /// --analyze-json=OUT: the structured findings behind the stderr render,
