@@ -4,6 +4,7 @@
 #include "core/TerraType.h"
 
 #include <map>
+#include <string_view>
 
 using namespace terracpp;
 using namespace terracpp::analysis;
@@ -35,7 +36,7 @@ CallKind classifyCall(const ApplyExpr *A) {
   const auto *FL = dyn_cast<FuncLitExpr>(skipCasts(A->Callee));
   if (!FL || !FL->Fn || !FL->Fn->IsExtern)
     return CallKind::Other;
-  const std::string &N = FL->Fn->ExternName;
+  std::string_view N = FL->Fn->Extern->Name;
   if (N == "malloc" || N == "calloc" || N == "realloc")
     return CallKind::Alloc;
   if (N == "free")

@@ -286,9 +286,8 @@ public:
     if (ModuleFns.count(F))
       return F->mangledName();
     if (F->IsExtern) {
-      if (!F->ExternHeader.empty())
-        Headers.insert(F->ExternHeader);
-      return F->ExternName;
+      Headers.insert(F->Extern->Header);
+      return F->Extern->Name;
     }
     if (Standalone) {
       fail("saveobj: function '" + F->Name +

@@ -1,5 +1,6 @@
 #include "core/LuaStdlib.h"
 
+#include "core/Libc.h"
 #include "core/LuaInterp.h"
 #include "core/TerraCompiler.h"
 #include "core/TerraType.h"
@@ -689,70 +690,6 @@ void installTerraTypes(Interp &I, TerraCompiler &Comp) {
 // terralib
 //===----------------------------------------------------------------------===//
 
-/// Curated libc registry standing in for Clang-based includec (DESIGN.md §4).
-struct ExternSpec {
-  const char *Name;
-  const char *Ret;
-  std::vector<const char *> Params;
-  bool VarArg = false;
-};
-
-Type *namedType(TypeContext &TC, const std::string &N) {
-  if (N == "void")
-    return TC.voidType();
-  if (N == "int")
-    return TC.int32();
-  if (N == "i64")
-    return TC.int64();
-  if (N == "u64")
-    return TC.uint64();
-  if (N == "f32")
-    return TC.float32();
-  if (N == "f64")
-    return TC.float64();
-  if (N == "ptr")
-    return TC.opaquePtr();
-  if (N == "str")
-    return TC.rawstring();
-  return nullptr;
-}
-
-const std::map<std::string, std::vector<ExternSpec>> &externRegistry() {
-  static const std::map<std::string, std::vector<ExternSpec>> Registry = {
-      {"stdlib.h",
-       {{"malloc", "ptr", {"i64"}},
-        {"calloc", "ptr", {"i64", "i64"}},
-        {"realloc", "ptr", {"ptr", "i64"}},
-        {"free", "void", {"ptr"}},
-        {"abort", "void", {}},
-        {"exit", "void", {"int"}}}},
-      {"stdio.h",
-       {{"printf", "int", {"str"}, /*VarArg=*/true},
-        {"puts", "int", {"str"}},
-        {"putchar", "int", {"int"}}}},
-      {"string.h",
-       {{"memcpy", "ptr", {"ptr", "ptr", "i64"}},
-        {"memset", "ptr", {"ptr", "int", "i64"}},
-        {"memmove", "ptr", {"ptr", "ptr", "i64"}},
-        {"strlen", "i64", {"str"}},
-        {"strcmp", "int", {"str", "str"}}}},
-      {"math.h",
-       {{"sqrt", "f64", {"f64"}},
-        {"sqrtf", "f32", {"f32"}},
-        {"sin", "f64", {"f64"}},
-        {"cos", "f64", {"f64"}},
-        {"exp", "f64", {"f64"}},
-        {"log", "f64", {"f64"}},
-        {"pow", "f64", {"f64", "f64"}},
-        {"fabs", "f64", {"f64"}},
-        {"fabsf", "f32", {"f32"}},
-        {"floor", "f64", {"f64"}},
-        {"ceil", "f64", {"f64"}},
-        {"fmod", "f64", {"f64", "f64"}}}},
-  };
-  return Registry;
-}
-
 void installTerralib(Interp &I, TerraCompiler &Comp) {
   auto TL = std::make_shared<Table>();
   TerraCompiler *CompP = &Comp;
@@ -764,25 +701,19 @@ void installTerralib(Interp &I, TerraCompiler &Comp) {
         if (Args.empty() || !Args[0].isString())
           return argError(In, L, "includec", "expected a header name");
         const std::string &Header = Args[0].asString();
-        const auto &Registry = externRegistry();
-        auto It = Registry.find(Header);
-        if (It == Registry.end())
-          return In.fail(L, "includec: header '" + Header +
-                                "' is not in the offline registry (available: "
-                                "stdlib.h, stdio.h, string.h, math.h)");
-        TypeContext &TC = In.terraCtx().types();
         auto Out = std::make_shared<Table>();
-        for (const ExternSpec &Spec : It->second) {
-          std::vector<Type *> Params;
-          for (const char *P : Spec.Params)
-            Params.push_back(namedType(TC, P));
-          FunctionType *FnTy =
-              TC.function(std::move(Params), namedType(TC, Spec.Ret));
-          TerraFunction *F =
-              CompP->createExtern(Spec.Name, FnTy, Header, nullptr);
-          F->IsVarArg = Spec.VarArg;
-          Out->setStr(Spec.Name, Value::terraFn(F));
+        bool Known = false;
+        for (const libc::Function &C : libc::table()) {
+          if (Header != C.Header)
+            continue;
+          Out->setStr(C.Name, Value::terraFn(CompP->createExtern(C)));
+          Known = true;
         }
+        if (!Known)
+          return In.fail(L, "includec: header '" + Header +
+                                "' is not in the offline registry "
+                                "(available: " +
+                                libc::headerList() + ")");
         Res.push_back(Value::table(std::move(Out)));
         return true;
       }));

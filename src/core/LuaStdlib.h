@@ -4,8 +4,8 @@
 // ...) plus the Terra surface the paper's programs use: primitive type
 // names, `vector`, `symbol`, `global`, `sizeof`, `prefetch`, the `->` and
 // `&` type constructors, and the `terralib` table (includec, cast, saveobj,
-// new, newlist, ...). The includec substitute exposes a curated libc
-// registry instead of parsing headers with Clang (DESIGN.md §4).
+// new, newlist, ...). The includec substitute binds entries of the libc
+// table (core/Libc.h) instead of parsing headers with Clang (DESIGN.md §4).
 //
 //===----------------------------------------------------------------------===//
 

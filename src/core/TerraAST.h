@@ -27,6 +27,7 @@
 #ifndef TERRACPP_CORE_TERRAAST_H
 #define TERRACPP_CORE_TERRAAST_H
 
+#include "core/Libc.h"
 #include "support/Arena.h"
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
@@ -537,15 +538,10 @@ public:
   /// Globals referenced by the body.
   std::vector<TerraGlobal *> GlobalRefs;
 
-  // Extern C functions (terralib.includec): no body; codegen calls the
-  // symbol directly and the interpreter backend dispatches natively.
-  bool IsExtern = false;
-  /// Extern with C varargs (printf): extra call arguments beyond the fixed
-  /// parameters are allowed and receive C default promotions.
-  bool IsVarArg = false;
-  std::string ExternName;
-  std::string ExternHeader;
-  void *ExternAddr = nullptr;
+  // Extern C functions (terralib.includec) have no body; Extern is their
+  // entry in the libc table (core/Libc.h), which every engine calls through.
+  bool IsExtern = false; ///< Set exactly when Extern is.
+  const libc::Function *Extern = nullptr;
 
   // Host-closure wrappers (terralib.cast of a Lua function): no body; calls
   // trampoline back into the interpreter.

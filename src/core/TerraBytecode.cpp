@@ -1283,7 +1283,7 @@ int BCCompiler::emitPrimCast(const PrimType *PF, const PrimType *PT,
     return Dst;
   }
   if (isFloatPK(FK)) {
-    // Widen a float source to double first (exact), as loadAsDouble does.
+    // Widen a float source to double first (exact).
     if (FK == PrimType::Float32) {
       int W = TK == PrimType::Float64 && Into >= 0 ? Into : tempReg();
       if (W < 0)

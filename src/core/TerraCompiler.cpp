@@ -85,7 +85,7 @@ bool TerraCompiler::ensureCompiled(TerraFunction *F) {
   if (F->isCompiled())
     return true;
   if (F->IsExtern) {
-    // Externs execute through their native address; synthesize an entry.
+    // Externs have no entry; terra code calls them through the libc table.
     Ctx.diags().error(SourceLoc(),
                       "extern function '" + F->Name +
                           "' cannot be called directly from the host");
@@ -249,10 +249,7 @@ bool TerraCompiler::compileAll(const std::vector<TerraFunction *> &Roots) {
     if (!F || F->isCompiled() || Staged.count(F))
       continue;
     if (F->IsExtern) {
-      Ctx.diags().error(SourceLoc(),
-                        "extern function '" + F->Name +
-                            "' cannot be called directly from the host");
-      AllOK = false;
+      AllOK &= ensureCompiled(F); // Reports the error.
       continue;
     }
     {
@@ -618,16 +615,13 @@ TerraFunction *TerraCompiler::wrapHostClosure(std::shared_ptr<Closure> C,
   return F;
 }
 
-TerraFunction *TerraCompiler::createExtern(std::string Name, FunctionType *FnTy,
-                                           std::string Header, void *Addr) {
-  TerraFunction *F = Ctx.createFunction(Name);
+TerraFunction *TerraCompiler::createExtern(const libc::Function &C) {
+  TerraFunction *F = Ctx.createFunction(C.Name);
   F->IsExtern = true;
-  F->ExternName = std::move(Name);
-  F->ExternHeader = std::move(Header);
-  F->ExternAddr = Addr;
-  F->FnTy = FnTy;
+  F->Extern = &C;
+  F->FnTy = C.Signature(Ctx.types());
   F->State = TerraFunction::SK_Checked;
-  F->RetTy = TypeRef::fromType(FnTy->result());
+  F->RetTy = TypeRef::fromType(F->FnTy->result());
   return F;
 }
 

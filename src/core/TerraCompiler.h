@@ -132,9 +132,8 @@ public:
   TerraFunction *wrapHostClosure(std::shared_ptr<lua::Closure> C,
                                  FunctionType *FnTy, std::string Name);
 
-  /// Creates an extern "C" function binding (terralib.includec substitute).
-  TerraFunction *createExtern(std::string Name, FunctionType *FnTy,
-                              std::string Header, void *Addr);
+  /// Binds libc table entry \p C as an extern function.
+  TerraFunction *createExtern(const libc::Function &C);
 
   /// Invoked by the generated-code trampoline for host-closure wrappers.
   bool invokeHostClosure(uint64_t Id, void **Args, void *Ret);

@@ -503,7 +503,7 @@ Type *CheckState::checkExpr(TerraExpr *&E) {
       return nullptr;
     }
     const auto *FL = dyn_cast<FuncLitExpr>(A->Callee);
-    bool VarArg = FL && FL->Fn->IsVarArg;
+    bool VarArg = FL && FL->Fn->IsExtern && FL->Fn->Extern->VarArg;
     if (VarArg ? A->NumArgs < FnTy->params().size()
                : A->NumArgs != FnTy->params().size()) {
       fail(E->loc(), "call expects " +

@@ -4,7 +4,6 @@
 
 #include "core/TerraAST.h"
 #include "core/TerraCompiler.h"
-#include "core/TerraExternDispatch.h"
 #include "core/TerraType.h"
 
 #include <cstring>
@@ -210,10 +209,7 @@ bool doCall(const CallSite &CS, Slot *R, uint8_t *Frame, vm::ExecEnv &S) {
                   "call through unknown function pointer in interpreter");
   }
   if (Callee->IsExtern) {
-    std::string Err;
-    if (!interpruntime::dispatchExtern(Callee, ArgPtrs, CS.ArgTypes, RetPtr,
-                                       Err))
-      return fail(S, CS.Loc, Err);
+    Callee->Extern->Invoke(Callee->Extern->Addr, ArgPtrs, CS.ArgTypes, RetPtr);
   } else if (Callee->HostClosure) {
     if (!S.Comp.invokeHostClosure(Callee->HostClosureId, ArgPtrs, RetPtr)) {
       // The host side already reported the failure; add no diagnostic.

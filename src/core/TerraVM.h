@@ -8,10 +8,10 @@
 // to native code.
 //
 // Results are the native backend's, bit for bit; the baseline JIT shares the
-// trap messages ("terra interpreter: ..." diagnostics), the extern registry
-// (TerraExternDispatch) and the depth limit. The differential tests in
-// test_backends/test_fuzz pin this equivalence against native code and
-// literal expected values.
+// trap messages ("terra interpreter: ..." diagnostics), the extern calls
+// (the libc table's invokers, core/Libc.h) and the depth limit. The
+// differential tests in test_backends/test_fuzz pin this equivalence against
+// native code and literal expected values.
 //
 //===----------------------------------------------------------------------===//
 

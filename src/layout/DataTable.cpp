@@ -1,5 +1,6 @@
 #include "layout/DataTable.h"
 
+#include "core/Libc.h"
 #include "core/LuaInterp.h"
 #include "core/StagingAPI.h"
 
@@ -17,11 +18,10 @@ DataTable::DataTable(Engine &E, const std::string &Name,
   Type *I64 = TC.int64();
 
   // libc bindings used by init/free.
-  TerraFunction *Malloc = E.compiler().createExtern(
-      "malloc", TC.function({I64}, TC.opaquePtr()), "stdlib.h", nullptr);
-  TerraFunction *Free = E.compiler().createExtern(
-      "free", TC.function({TC.opaquePtr()}, TC.voidType()), "stdlib.h",
-      nullptr);
+  TerraFunction *Malloc =
+      E.compiler().createExtern(*libc::find("stdlib.h", "malloc"));
+  TerraFunction *Free =
+      E.compiler().createExtern(*libc::find("stdlib.h", "free"));
 
   // Container layout.
   Container = TC.createStruct(Name);
