@@ -324,6 +324,22 @@ void Assembler::sarRCl(Reg D) {
   modrm(3, 7, D & 7);
 }
 
+void Assembler::shiftRI(uint8_t Ext, Reg D, uint8_t N) {
+  rex(true, 0, 0, D >> 3);
+  byte(0xC1);
+  modrm(3, Ext, D & 7);
+  byte(N);
+}
+
+void Assembler::shrRI(Reg D, uint8_t N) { shiftRI(5, D, N); }
+void Assembler::sarRI(Reg D, uint8_t N) { shiftRI(7, D, N); }
+
+void Assembler::imulR(Reg S) {
+  rex(true, 0, 0, S >> 3);
+  byte(0xF7);
+  modrm(3, 5, S & 7);
+}
+
 void Assembler::idivR(Reg S) {
   rex(true, 0, 0, S >> 3);
   byte(0xF7);

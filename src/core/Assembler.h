@@ -91,6 +91,9 @@ public:
   void shlRCl(Reg D); ///< shl r64, cl
   void shrRCl(Reg D); ///< shr r64, cl (logical)
   void sarRCl(Reg D); ///< sar r64, cl (arithmetic)
+  void shrRI(Reg D, uint8_t N); ///< shr r64, imm8 (logical)
+  void sarRI(Reg D, uint8_t N); ///< sar r64, imm8 (arithmetic)
+  void imulR(Reg S); ///< rdx:rax = rax * S (signed, one operand)
   void cqo();
   void cdqe();
   void idivR(Reg S);
@@ -148,6 +151,8 @@ private:
   void mem(uint8_t RegOp, Reg Base, int32_t Disp);
   void rel32To(Label L);
   void sse(uint8_t Prefix, uint8_t Op, uint8_t RegOp, uint8_t Rm, bool W);
+  /// Group-2 shift of \p D by an immediate (C1 /Ext ib).
+  void shiftRI(uint8_t Ext, Reg D, uint8_t N);
 
   std::vector<uint8_t> Buf;
   std::vector<int64_t> Labels;                      ///< -1 = unbound.

@@ -571,9 +571,11 @@ public:
       const auto *L = cast<LitExpr>(E);
       switch (L->LK) {
       case LitExpr::LK_Int: {
-        std::string S = "((" + cType(L->Ty) + ")" +
-                        std::to_string(L->IntVal) + "ll)";
-        return S;
+        // INT64_MIN has no literal of its own in C.
+        std::string V = L->IntVal == INT64_MIN
+                            ? "(-9223372036854775807ll - 1)"
+                            : std::to_string(L->IntVal) + "ll";
+        return "((" + cType(L->Ty) + ")" + V + ")";
       }
       case LitExpr::LK_Float: {
         char Buf[64];

@@ -233,8 +233,8 @@ Token Lexer::lexNumber() {
     advance();
     while (isxdigit(static_cast<unsigned char>(cur())))
       advance();
-    T.Num = static_cast<double>(
-        strtoull(Src.substr(Start, Pos - Start).c_str(), nullptr, 16));
+    T.Bits = strtoull(Src.substr(Start, Pos - Start).c_str(), nullptr, 16);
+    T.Num = static_cast<double>(T.Bits);
   } else {
     while (isdigit(static_cast<unsigned char>(cur())))
       advance();
@@ -253,6 +253,8 @@ Token Lexer::lexNumber() {
         advance();
     }
     T.Num = strtod(Src.substr(Start, Pos - Start).c_str(), nullptr);
+    if (IsInt) // Past 2^53 a double drops low bits; int64 literals keep them.
+      T.Bits = strtoull(Src.substr(Start, Pos - Start).c_str(), nullptr, 10);
   }
   T.IsInt = IsInt;
   // Terra-style suffixes: f (float), LL (int64), ULL (uint64).

@@ -95,6 +95,7 @@ struct Token {
   SourceLoc Loc;
   std::string Text;   ///< Identifier name or decoded string contents.
   double Num = 0;     ///< Numeric value.
+  uint64_t Bits = 0;  ///< Exact value of an integer literal (IsInt).
   bool IsInt = false; ///< Literal had no '.', exponent, or hex float.
   NumSuffix Suffix = NumSuffix::None;
 };

@@ -1365,15 +1365,17 @@ TerraExpr *Parser::parseTerraPrimaryExpr() {
       L->IntVal = 32; // Width tag: float32 (resolved by specializer).
     } else if (T.Suffix == NumSuffix::LL) {
       L->LK = LitExpr::LK_Int;
-      L->IntVal = static_cast<int64_t>(T.Num);
+      L->IntVal = T.IsInt ? static_cast<int64_t>(T.Bits)
+                          : static_cast<int64_t>(T.Num);
       L->FloatVal = 64;
     } else if (T.Suffix == NumSuffix::ULL) {
       L->LK = LitExpr::LK_Int;
-      L->IntVal = static_cast<int64_t>(T.Num);
+      L->IntVal = T.IsInt ? static_cast<int64_t>(T.Bits)
+                          : static_cast<int64_t>(T.Num);
       L->FloatVal = -64; // Negative width tag: unsigned 64.
     } else if (T.IsInt) {
       L->LK = LitExpr::LK_Int;
-      L->IntVal = static_cast<int64_t>(T.Num);
+      L->IntVal = static_cast<int64_t>(T.Bits);
       L->FloatVal = 0; // Default int.
     } else {
       L->LK = LitExpr::LK_Float;

@@ -125,6 +125,7 @@ Shape shapeOf(Op O) {
   case Op::PtrDiff: case Op::ShlI: case Op::ShrI: case Op::ShrU:
     return Shape::ABC;
   case Op::Mov: case Op::NegI: case Op::NegF: case Op::NegF32: case Op::NotB:
+  case Op::DivIK: case Op::ModIK:
   case Op::WrapI8: case Op::WrapI16: case Op::WrapI32: case Op::WrapU8:
   case Op::WrapU16: case Op::WrapU32: case Op::WrapBool: case Op::I2F:
   case Op::I2F32: case Op::F2I8: case Op::F2I16: case Op::F2I32:
@@ -147,6 +148,42 @@ Shape shapeOf(Op O) {
     return Shape::None;
   }
   return Shape::None;
+}
+
+/// Multiplier and shift that divide by a constant \p D, 2 <= D < 2^62:
+/// n / D == hi64(M * n) (+ n when M < 0) >> S, rounded toward zero
+/// (Granlund & Montgomery, PLDI 1994; Hacker's Delight §10-1, widened to
+/// 64 bits).
+struct DivMagic {
+  int64_t M;
+  unsigned S;
+};
+
+DivMagic divMagic(uint64_t D) {
+  const uint64_t Two63 = uint64_t(1) << 63;
+  // |nc|: the largest n with n % D == D - 1.
+  uint64_t ANc = Two63 - 1 - Two63 % D;
+  unsigned P = 63;
+  uint64_t Q1 = Two63 / ANc, R1 = Two63 - Q1 * ANc;
+  uint64_t Q2 = Two63 / D, R2 = Two63 - Q2 * D;
+  uint64_t Delta;
+  do {
+    ++P;
+    Q1 *= 2;
+    R1 *= 2;
+    if (R1 >= ANc) {
+      ++Q1;
+      R1 -= ANc;
+    }
+    Q2 *= 2;
+    R2 *= 2;
+    if (R2 >= D) {
+      ++Q2;
+      R2 -= D;
+    }
+    Delta = D - R2;
+  } while (Q1 < Delta || (Q1 == Delta && R1 == 0));
+  return {static_cast<int64_t>(Q2 + 1), P - 64};
 }
 
 class Emitter {
@@ -177,6 +214,7 @@ private:
 
   bool layoutAndPin();
   bool emitPrologue();
+  void emitDivByConst(const Insn &I);
   void emitEpilogue();
   bool emitParam(const bytecode::Function::Param &P, size_t Index);
   bool emitInsn(const Insn &I);
@@ -442,6 +480,49 @@ void Emitter::emitTrapStubs() {
   }
 }
 
+/// DivIK/ModIK without idiv: shifts for a power-of-two |d|, else the
+/// multiply-high sequence. The quotient is computed for |d| and negated
+/// for d < 0; the remainder n - q*|d| is the same for d and -d.
+void Emitter::emitDivByConst(const Insn &I) {
+  uint64_t AD = I.Imm < 0 ? 0 - static_cast<uint64_t>(I.Imm)
+                          : static_cast<uint64_t>(I.Imm);
+  loadSlot(RCX, I.B); // n
+  if ((AD & (AD - 1)) == 0) {
+    // q = (n + (n < 0 ? |d| - 1 : 0)) >> k
+    uint8_t K = static_cast<uint8_t>(__builtin_ctzll(AD));
+    A.movRR(RAX, RCX);
+    A.sarRI(RAX, 63);
+    A.shrRI(RAX, static_cast<uint8_t>(64 - K));
+    A.addRR(RAX, RCX);
+    A.sarRI(RAX, K);
+  } else {
+    DivMagic Mg = divMagic(AD);
+    A.movRI(RAX, Mg.M);
+    A.imulR(RCX); // rdx = hi64(M * n)
+    if (Mg.M < 0)
+      A.addRR(RDX, RCX);
+    if (Mg.S)
+      A.sarRI(RDX, static_cast<uint8_t>(Mg.S));
+    A.movRR(RAX, RDX);
+    A.shrRI(RAX, 63); // +1 rounds a negative quotient toward zero
+    A.addRR(RAX, RDX);
+  }
+  if (I.Code == Op::DivIK) {
+    if (I.Imm < 0)
+      A.negR(RAX);
+    storeSlot(I.A, RAX);
+    return;
+  }
+  if (AD <= INT32_MAX) {
+    A.imulRRI(RAX, RAX, static_cast<int32_t>(AD));
+  } else {
+    A.movRI(RDX, static_cast<int64_t>(AD));
+    A.imulRR(RAX, RDX);
+  }
+  A.subRR(RCX, RAX);
+  storeSlot(I.A, RCX);
+}
+
 bool Emitter::emitInsn(const Insn &I) {
   auto FitsDisp = [](int64_t V) {
     return V >= INT32_MIN && V <= INT32_MAX;
@@ -502,6 +583,10 @@ bool Emitter::emitInsn(const Insn &I) {
     A.cqo();
     A.idivR(RCX);
     storeSlot(I.A, I.Code == Op::DivI ? RAX : RDX);
+    return true;
+  case Op::DivIK:
+  case Op::ModIK:
+    emitDivByConst(I);
     return true;
   case Op::DivU:
   case Op::ModU:

@@ -16,6 +16,7 @@
 #include "core/TerraType.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <map>
 #include <set>
@@ -108,6 +109,10 @@ struct Prepass {
   /// Every local with its declaration site.
   std::vector<std::pair<const TerraSymbol *, SourceLoc>> Decls;
   std::set<const TerraSymbol *> AddrTaken;
+  /// Locals that are the whole left-hand side of an assignment.
+  std::set<const TerraSymbol *> Assigned;
+  /// Statements and expressions walked; past NodeLimit the walk bails.
+  unsigned Nodes = 0, NodeLimit = UINT_MAX;
   BailSite Why;
   bool Bailed = false;
 
@@ -163,6 +168,8 @@ struct Prepass {
   void walkExpr(const TerraExpr *E) {
     if (!E || Bailed)
       return;
+    if (++Nodes > NodeLimit)
+      return bail("too large to inline", E->loc());
     switch (E->kind()) {
     case TerraNode::NK_Lit:
     case TerraNode::NK_Var:
@@ -229,6 +236,8 @@ struct Prepass {
   void walkStmt(const TerraStmt *S) {
     if (!S || Bailed)
       return;
+    if (++Nodes > NodeLimit)
+      return bail("too large to inline", S->loc());
     switch (S->kind()) {
     case TerraNode::NK_Block: {
       const auto *B = cast<BlockStmt>(S);
@@ -248,8 +257,11 @@ struct Prepass {
       const auto *A = cast<AssignStmt>(S);
       for (unsigned I = 0; I != A->NumRHS; ++I)
         walkExpr(A->RHS[I]);
-      for (unsigned I = 0; I != A->NumLHS; ++I)
+      for (unsigned I = 0; I != A->NumLHS; ++I) {
+        if (const auto *V = dyn_cast<VarExpr>(A->LHS[I]))
+          Assigned.insert(V->Sym);
         walkExpr(A->LHS[I]);
+      }
       return;
     }
     case TerraNode::NK_If: {
@@ -313,7 +325,9 @@ using Lanes = std::vector<int>;
 
 class BCCompiler {
 public:
-  BCCompiler(TerraContext &Ctx, const TerraFunction *F) : Ctx(Ctx), Src(F) {}
+  BCCompiler(TerraContext &Ctx, const TerraFunction *F, bool Inline)
+      : Ctx(Ctx), Src(F), Cur(F),
+        InlineBudget(Inline ? CallerInlineNodes : 0) {}
 
   std::shared_ptr<const Function> run();
 
@@ -322,6 +336,8 @@ public:
 private:
   TerraContext &Ctx;
   const TerraFunction *Src;
+  /// The function whose body is being emitted: Src, or an inlined callee.
+  const TerraFunction *Cur;
   Function Out;
   bool Bailed = false;
   SourceLoc CurLoc; ///< Statement being compiled (bail site).
@@ -335,6 +351,21 @@ private:
   uint16_t RegTop = 0, RegMax = 0;
   uint32_t FrameTop = 0, FrameMax = 0;
   std::vector<std::vector<size_t>> BreakStack;
+
+  // Inlining (DESIGN.md §10). A callee body is inlined when it has at most
+  // MaxInlineNodes AST nodes, while the caller's budget of CallerInlineNodes
+  // inlined nodes lasts.
+  static constexpr unsigned MaxInlineNodes = 64, CallerInlineNodes = 4096;
+  unsigned InlineBudget;
+  /// One callee body being emitted in place of a call.
+  struct InlineFrame {
+    int Dst = -1;              ///< Scalar result register; -1 for none.
+    uint32_t RetOff = 0;       ///< Aggregate result scratch.
+    std::vector<size_t> Exits; ///< Jumps from `return`s to the join.
+  };
+  /// The innermost callee being inlined; null in Src's own body.
+  InlineFrame *Inline = nullptr;
+  std::map<const TerraFunction *, bool> Recursive;
 
   int bail(const char *Reason) {
     if (!Bailed)
@@ -391,10 +422,10 @@ private:
   // Interval-analysis facts (TerraFunction::RangeFacts): a proven fact lets
   // the compiler skip the runtime guard in front of a division or shift.
   bool provenNonZeroDivisor(const BinOpExpr *B) const {
-    return Src->RangeFacts && Src->RangeFacts->NonZeroDivisor.count(B);
+    return Cur->RangeFacts && Cur->RangeFacts->NonZeroDivisor.count(B);
   }
   bool provenInRangeShift(const BinOpExpr *B) const {
-    return Src->RangeFacts && Src->RangeFacts->InRangeShift.count(B);
+    return Cur->RangeFacts && Cur->RangeFacts->InRangeShift.count(B);
   }
 
   // Typed memory access.
@@ -446,7 +477,12 @@ private:
   int compileAggValue(const TerraExpr *E);
   bool compileAggInto(const TerraExpr *E, int DstAddr, const Type *Ty);
   int compileCall(const ApplyExpr *A);
-  int compileBinOp(const BinOpExpr *B, const TerraExpr *E);
+  bool isRecursive(const TerraFunction *F);
+  bool inlinable(const ApplyExpr *A, const TerraFunction *Callee,
+                 Prepass &Pre);
+  int inlineCall(const ApplyExpr *A, const TerraFunction *Callee,
+                 const Prepass &Pre);
+  int compileBinOp(const BinOpExpr *B, const TerraExpr *E, int Into = -1);
   int compileCast(const CastExpr *C);
   bool storeToLValue(const TerraExpr *L, int Val);
   bool compileStmt(const TerraStmt *S);
@@ -960,7 +996,173 @@ bool BCCompiler::compileLanes(const TerraExpr *E, Lanes &Out,
 // Calls
 //===----------------------------------------------------------------------===//
 
+bool BCCompiler::isRecursive(const TerraFunction *F) {
+  auto [It, New] = Recursive.try_emplace(F, false);
+  if (!New)
+    return It->second;
+  std::set<const TerraFunction *> Seen;
+  std::vector<const TerraFunction *> Work{F};
+  while (!Work.empty()) {
+    const TerraFunction *G = Work.back();
+    Work.pop_back();
+    for (const TerraFunction *H : G->Callees) {
+      if (H == F)
+        return It->second = true;
+      if (Seen.insert(H).second)
+        Work.push_back(H);
+    }
+  }
+  return false;
+}
+
+/// A direct call compiles inline exactly when the baseline fast path would
+/// otherwise take it (a Terra body: not extern, not a host closure; tiered
+/// code, whose callees have a TierState, compiles with no budget), the
+/// callee reaches no cycle in the call graph (so the caller, and every
+/// callee being inlined, is never inlined into itself), and its body is
+/// small. Fills \p Pre with the callee's locals.
+bool BCCompiler::inlinable(const ApplyExpr *A, const TerraFunction *Callee,
+                           Prepass &Pre) {
+  if (!InlineBudget || Callee->IsExtern || Callee->HostClosure ||
+      !Callee->Body || !Callee->FnTy || Callee->NumParams != A->NumArgs ||
+      isRecursive(Callee))
+    return false;
+  for (unsigned I = 0; I != A->NumArgs; ++I)
+    if (A->Args[I]->Ty != Callee->Params[I]->DeclaredType)
+      return false;
+  Pre.NodeLimit = std::min(MaxInlineNodes, InlineBudget);
+  for (unsigned I = 0; I != Callee->NumParams; ++I)
+    Pre.declare(Callee->Params[I], Callee->Body->loc());
+  Pre.walkStmt(Callee->Body);
+  if (Pre.Bailed)
+    return false;
+  InlineBudget -= Pre.Nodes;
+  return true;
+}
+
+/// Emits \p Callee's body in place of the call: arguments are evaluated as
+/// the call would stage them, each local of this instance gets fresh
+/// storage (scalars in registers, everything else in frame scratch), and a
+/// `return` stores into the call's destination and jumps to the join.
+int BCCompiler::inlineCall(const ApplyExpr *A, const TerraFunction *Callee,
+                           const Prepass &Pre) {
+  std::vector<int> Args;
+  for (unsigned I = 0; I != A->NumArgs; ++I) {
+    const TerraExpr *Arg = A->Args[I];
+    int R = isScalarTy(Arg->Ty) ? compileScalar(Arg) : compileAggValue(Arg);
+    if (R < 0)
+      return -1;
+    Args.push_back(R);
+  }
+  Type *RT = Callee->FnTy->result();
+  bool HasResult = RT && !RT->isVoid();
+  InlineFrame IF;
+  if (HasResult && isScalarTy(RT)) {
+    if ((IF.Dst = tempReg()) < 0)
+      return -1;
+  } else if (HasResult) {
+    IF.RetOff = allocScratch(RT->size());
+  }
+  Mark M = mark();
+
+  // Bind this instance's locals, shadowing any caller binding of the same
+  // symbol (one quote can be spliced into both functions). A scalar
+  // parameter the body never assigns or addresses reads its argument's
+  // register directly.
+  std::vector<std::pair<const TerraSymbol *, LocalInfo>> Shadowed;
+  std::vector<const TerraSymbol *> Bound;
+  for (size_t I = 0; I != Pre.Decls.size(); ++I) {
+    const TerraSymbol *S = Pre.Decls[I].first;
+    if (std::find(Bound.begin(), Bound.end(), S) != Bound.end())
+      continue;
+    auto It = Locals.find(S);
+    if (It != Locals.end())
+      Shadowed.push_back(*It);
+    Bound.push_back(S);
+    LocalInfo L;
+    L.Ty = S->DeclaredType;
+    bool Param = I < Callee->NumParams;
+    if (!isScalarTy(L.Ty) || Pre.AddrTaken.count(S)) {
+      L.InFrame = true;
+      L.FrameOff = allocScratch(L.Ty->size());
+    } else if (Param && !Pre.Assigned.count(S)) {
+      L.Reg = static_cast<uint16_t>(Args[I]);
+    } else {
+      int R = tempReg();
+      if (R < 0)
+        return -1;
+      L.Reg = static_cast<uint16_t>(R);
+      if (Param)
+        emit(Op::Mov, L.Reg, static_cast<uint16_t>(Args[I]));
+    }
+    if (Param && L.InFrame) {
+      Mark T = mark();
+      int Addr = tempReg();
+      if (Addr < 0)
+        return -1;
+      emit(Op::FrameAddr, static_cast<uint16_t>(Addr), 0, 0, L.FrameOff);
+      if (isScalarTy(L.Ty)) {
+        if (!emitStore(L.Ty, Addr, 0, Args[I]))
+          return -1;
+      } else {
+        emit(Op::MemCpy, static_cast<uint16_t>(Addr),
+             static_cast<uint16_t>(Args[I]), 0,
+             static_cast<int64_t>(L.Ty->size()));
+      }
+      release(T);
+    }
+    Locals[S] = L;
+  }
+
+  const TerraFunction *Caller = Cur;
+  InlineFrame *Outer = Inline;
+  SourceLoc CallerLoc = CurLoc;
+  Cur = Callee;
+  Inline = &IF;
+  bool OK = compileBlock(Callee->Body);
+  Cur = Caller;
+  Inline = Outer;
+  CurLoc = CallerLoc;
+  for (const TerraSymbol *S : Bound)
+    Locals.erase(S);
+  for (auto &[S, L] : Shadowed)
+    Locals[S] = L;
+  if (!OK)
+    return -1;
+
+  // Falling off the end traps as the callee itself would. A body ending in
+  // `return` cannot, and that return's jump to the join (the last insn,
+  // which no other jump targets past) is dropped.
+  const BlockStmt *Body = Callee->Body;
+  if (Body->NumStmts && isa<ReturnStmt>(Body->Stmts[Body->NumStmts - 1])) {
+    Out.Code.pop_back();
+    IF.Exits.pop_back();
+  } else if (HasResult) {
+    emit(Op::Trap, 0, 0, 0,
+         trapIdx("control reached end of non-void function '" +
+                     Callee->Name + "'",
+                 Body->loc()));
+  }
+  for (size_t J : IF.Exits)
+    patch(J, here());
+  release(M);
+  if (!HasResult)
+    return -2;
+  if (IF.Dst >= 0)
+    return IF.Dst;
+  int Addr = tempReg();
+  if (Addr < 0)
+    return -1;
+  emit(Op::FrameAddr, static_cast<uint16_t>(Addr), 0, 0, IF.RetOff);
+  return Addr;
+}
+
 int BCCompiler::compileCall(const ApplyExpr *A) {
+  if (const auto *FL = dyn_cast<FuncLitExpr>(A->Callee)) {
+    Prepass Pre;
+    if (FL->Fn && inlinable(A, FL->Fn, Pre))
+      return inlineCall(A, FL->Fn, Pre);
+  }
   CallSite CS;
   CS.Loc = A->loc();
   if (const auto *FL = dyn_cast<FuncLitExpr>(A->Callee)) {
@@ -1022,7 +1224,21 @@ int BCCompiler::compileCall(const ApplyExpr *A) {
 // Binary operators
 //===----------------------------------------------------------------------===//
 
-int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
+/// The divisor of a signed integer `/` or `%` that DivIK/ModIK take: a
+/// literal d (the midend has folded casts into it) with 2 <= |d| < 2^62 in
+/// the operand type. 0 and -1 keep their trap and overflow paths.
+bool constDivisor(const BinOpExpr *B, const PrimType *P, int64_t &D) {
+  const auto *L = dyn_cast<LitExpr>(B->RHS);
+  if ((B->Op != BinOpKind::Div && B->Op != BinOpKind::Mod) ||
+      !P->isSignedPrim() || !L || L->LK != LitExpr::LK_Int)
+    return false;
+  D = P->wrapInt(L->IntVal);
+  uint64_t AD = D < 0 ? 0 - static_cast<uint64_t>(D) : D;
+  return AD >= 2 && AD < (uint64_t(1) << 62);
+}
+
+int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E,
+                             int Into) {
   Type *OpTy = B->LHS->Ty;
   if (!OpTy || !B->RHS->Ty)
     return bail("untyped operand");
@@ -1090,10 +1306,22 @@ int BCCompiler::compileBinOp(const BinOpExpr *B, const TerraExpr *E) {
   if (!P)
     return bail("operator on non-primitive operands");
   int L = compileScalar(B->LHS);
-  int R = compileScalar(B->RHS);
-  if (L < 0 || R < 0)
+  if (L < 0)
     return -1;
-  return emitPrimBinOp(B->Op, P, L, R, E->loc(), B);
+  // |d| >= 2 keeps the quotient and remainder in range: no re-wrap.
+  int64_t D;
+  if (constDivisor(B, P, D)) {
+    int Dst = Into >= 0 ? Into : tempReg();
+    if (Dst < 0)
+      return -1;
+    emit(B->Op == BinOpKind::Div ? Op::DivIK : Op::ModIK,
+         static_cast<uint16_t>(Dst), static_cast<uint16_t>(L), 0, D);
+    return Dst;
+  }
+  int R = compileScalar(B->RHS);
+  if (R < 0)
+    return -1;
+  return emitPrimBinOp(B->Op, P, L, R, E->loc(), B, Into);
 }
 
 /// \p Facts is the scalar source node whose interval facts may elide the
@@ -1412,33 +1640,8 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
         emit(Op::ConstF32, D, 0, 0, Bits);
         return Dst;
       }
-      int64_t V = L->IntVal;
-      switch (PK) { // Canonicalize at compile time.
-      case PrimType::Bool:
-        V = V != 0;
-        break;
-      case PrimType::Int8:
-        V = static_cast<int8_t>(V);
-        break;
-      case PrimType::Int16:
-        V = static_cast<int16_t>(V);
-        break;
-      case PrimType::Int32:
-        V = static_cast<int32_t>(V);
-        break;
-      case PrimType::UInt8:
-        V = static_cast<uint8_t>(V);
-        break;
-      case PrimType::UInt16:
-        V = static_cast<uint16_t>(V);
-        break;
-      case PrimType::UInt32:
-        V = static_cast<uint32_t>(V);
-        break;
-      default:
-        break;
-      }
-      emit(Op::ConstI, D, 0, 0, V);
+      // Canonicalize at compile time.
+      emit(Op::ConstI, D, 0, 0, P->wrapInt(L->IntVal));
       return Dst;
     }
     case LitExpr::LK_Float: {
@@ -1621,7 +1824,10 @@ int BCCompiler::compileScalar(const TerraExpr *E) {
 }
 
 bool BCCompiler::compileScalarInto(const TerraExpr *E, int Dst) {
-  int R = compileScalar(E);
+  // A primitive operator writes Dst itself (each of its ops reads its
+  // operands first); the other operator forms ignore Into.
+  const auto *B = dyn_cast<BinOpExpr>(E);
+  int R = B && E->Ty ? compileBinOp(B, E, Dst) : compileScalar(E);
   if (R < 0 || Dst < 0)
     return false;
   if (R != Dst)
@@ -1736,6 +1942,16 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
     const auto *A = cast<AssignStmt>(S);
     if (A->NumLHS != A->NumRHS)
       return bail("assignment arity") >= 0;
+    // A single scalar `x = e` stores e's register straight into x.
+    if (A->NumLHS == 1 && isScalarTy(A->RHS[0]->Ty)) {
+      const TerraExpr *L = A->LHS[0];
+      if (const auto *V = dyn_cast<VarExpr>(L)) {
+        auto It = Locals.find(V->Sym);
+        if (It != Locals.end() && !It->second.InFrame)
+          return compileScalarInto(A->RHS[0], It->second.Reg);
+      }
+      return storeToLValue(L, compileScalar(A->RHS[0]));
+    }
     // Parallel semantics: all RHS evaluated into fresh temps before stores.
     struct RV {
       bool Scalar;
@@ -1929,7 +2145,24 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
   }
   case TerraNode::NK_Return: {
     const auto *R = cast<ReturnStmt>(S);
-    Type *RT = Src->FnTy->result();
+    Type *RT = Cur->FnTy->result();
+    if (InlineFrame *IF = Inline) {
+      if (R->Val && RT && !RT->isVoid()) {
+        if (isScalarTy(RT)) {
+          if (!compileScalarInto(R->Val, IF->Dst))
+            return false;
+        } else {
+          int A = tempReg();
+          if (A < 0)
+            return false;
+          emit(Op::FrameAddr, static_cast<uint16_t>(A), 0, 0, IF->RetOff);
+          if (!compileAggInto(R->Val, A, RT))
+            return false;
+        }
+      }
+      IF->Exits.push_back(emit(Op::Jmp, 0, 0, 0, -1));
+      return true;
+    }
     if (R->Val && RT && !RT->isVoid()) {
       int V = isScalarTy(RT) ? compileScalar(R->Val)
                              : compileAggValue(R->Val);
@@ -2078,8 +2311,8 @@ const char *opName(Op O) {
 
 std::shared_ptr<const Function> compile(TerraContext &Ctx,
                                         const TerraFunction *F,
-                                        BailSite *Why) {
-  BCCompiler C(Ctx, F);
+                                        BailSite *Why, bool Inline) {
+  BCCompiler C(Ctx, F, Inline);
   std::shared_ptr<const Function> Out = C.run();
   if (!Out && Why)
     *Why = C.Why;

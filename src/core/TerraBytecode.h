@@ -86,6 +86,9 @@ union Slot {
   X(ModI)       /* r[A].I = r[B].I % r[C].I (unguarded, as DivI) */           \
   X(DivU)       /* r[A].U = r[B].U / r[C].U (unguarded, as DivI) */           \
   X(ModU)       /* r[A].U = r[B].U % r[C].U (unguarded, as DivI) */           \
+  X(DivIK)      /* r[A].I = r[B].I / Imm (constant divisor, 2 <= |Imm| <    \
+                   2^62: needs no guard) */                                  \
+  X(ModIK)      /* r[A].I = r[B].I % Imm (as DivIK) */                        \
   X(ShlI)       /* r[A].U = r[B].U << (r[C].U & 63) */                        \
   X(ShrI)       /* r[A].I = r[B].I >> (r[C].U & 63) (arithmetic) */           \
   X(ShrU)       /* r[A].U = r[B].U >> (r[C].U & 63) (logical) */              \
@@ -284,10 +287,13 @@ struct BailSite {
 /// when the function needs more than the uint16_t register file or the
 /// uint32_t frame, or holds IR the typechecker does not produce; the first
 /// bail site is stored through \p Why when given. Never reports
-/// diagnostics.
+/// diagnostics. With \p Inline, small direct callees are compiled in place
+/// of their calls (DESIGN.md §10); the tiered backend passes false so every
+/// call is counted.
 std::shared_ptr<const Function> compile(TerraContext &Ctx,
                                         const TerraFunction *F,
-                                        BailSite *Why = nullptr);
+                                        BailSite *Why = nullptr,
+                                        bool Inline = true);
 
 /// Human-readable disassembly (tests, --dump-bytecode debugging).
 std::string disassemble(const Function &F);

@@ -186,6 +186,11 @@ bool TerraCompiler::installTier0(std::string Source, bool Cacheable,
 void *TerraCompiler::nativePointer(TerraFunction *F) {
   if (F->RawPtr)
     return F->RawPtr;
+  if (F->IsExtern) {
+    // The C function itself; RawPtr stays null (isCompiled() reads it).
+    RawToFn[F->Extern->Addr] = F;
+    return F->Extern->Addr;
+  }
   if (!ensureCompiled(F))
     return nullptr;
   if (F->RawPtr || !Tiers || !F->Tier)

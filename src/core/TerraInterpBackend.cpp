@@ -67,7 +67,8 @@ bool TerraInterpBackend::compileBytecode(TerraFunction *F) {
   if (F->Bytecode || !F->Body || F->IsExtern || F->HostClosure)
     return true;
   bytecode::BailSite Why;
-  F->Bytecode = bytecode::compile(Ctx, F, &Why);
+  F->Bytecode =
+      bytecode::compile(Ctx, F, &Why, /*Inline=*/!Compiler.tierManager());
   if (F->Bytecode)
     return true;
   Ctx.diags().error(Why.Loc, "terra interpreter: cannot compile function '" +

@@ -110,9 +110,13 @@ public:
   void foldBlock(BlockStmt *B);
 
 private:
+  /// An integer literal of \p Ty holding \p V wrapped to that type, so a
+  /// folded cast or operation means what it does at run time.
   LitExpr *makeInt(int64_t V, Type *Ty, SourceLoc Loc) {
     auto *L = Ctx.make<LitExpr>(Loc);
     L->LK = LitExpr::LK_Int;
+    if (const auto *P = dyn_cast<PrimType>(Ty))
+      V = P->wrapInt(V);
     L->IntVal = V;
     L->LitTy = Ty;
     L->Ty = Ty;
@@ -152,22 +156,51 @@ void Folder::foldExpr(TerraExpr *&E) {
     if (!Ty || Ty->isVector())
       return;
     if (isIntLit(B->LHS, LI) && isIntLit(B->RHS, RI)) {
+      // Unsigned operands divide and compare as uint64 (literals are
+      // canonical, so narrow unsigned kinds are already zero-extended).
+      const auto *OP = dyn_cast_or_null<PrimType>(B->LHS->Ty);
+      if (OP && OP->isIntegralPrim() && !OP->isSignedPrim()) {
+        uint64_t UL = uint64_t(LI), UR = uint64_t(RI);
+        switch (B->Op) {
+        case BinOpKind::Div:
+        case BinOpKind::Mod:
+          if (UR != 0)
+            E = makeInt(int64_t(B->Op == BinOpKind::Div ? UL / UR : UL % UR),
+                        Ty, E->loc());
+          return;
+        case BinOpKind::Lt:
+          E = makeBool(UL < UR, Ty, E->loc());
+          return;
+        case BinOpKind::Le:
+          E = makeBool(UL <= UR, Ty, E->loc());
+          return;
+        case BinOpKind::Gt:
+          E = makeBool(UL > UR, Ty, E->loc());
+          return;
+        case BinOpKind::Ge:
+          E = makeBool(UL >= UR, Ty, E->loc());
+          return;
+        default:
+          break;
+        }
+      }
       switch (B->Op) {
+      // Wrapping arithmetic, as the engines compute it.
       case BinOpKind::Add:
-        E = makeInt(LI + RI, Ty, E->loc());
+        E = makeInt(int64_t(uint64_t(LI) + uint64_t(RI)), Ty, E->loc());
         return;
       case BinOpKind::Sub:
-        E = makeInt(LI - RI, Ty, E->loc());
+        E = makeInt(int64_t(uint64_t(LI) - uint64_t(RI)), Ty, E->loc());
         return;
       case BinOpKind::Mul:
-        E = makeInt(LI * RI, Ty, E->loc());
+        E = makeInt(int64_t(uint64_t(LI) * uint64_t(RI)), Ty, E->loc());
         return;
       case BinOpKind::Div:
-        if (RI != 0)
+        if (RI != 0 && (RI != -1 || LI != INT64_MIN))
           E = makeInt(LI / RI, Ty, E->loc());
         return;
       case BinOpKind::Mod:
-        if (RI != 0)
+        if (RI != 0 && (RI != -1 || LI != INT64_MIN))
           E = makeInt(LI % RI, Ty, E->loc());
         return;
       case BinOpKind::Lt:
@@ -245,7 +278,11 @@ void Folder::foldExpr(TerraExpr *&E) {
     if (!L || !To || To->isVector() || To->isPointer())
       return;
     if (L->LK == LitExpr::LK_Int && To->isFloat()) {
-      E = makeFloat(static_cast<double>(L->IntVal), To, E->loc());
+      const auto *FP = dyn_cast_or_null<PrimType>(L->Ty);
+      bool U = FP && FP->isIntegralPrim() && !FP->isSignedPrim();
+      E = makeFloat(U ? static_cast<double>(uint64_t(L->IntVal))
+                      : static_cast<double>(L->IntVal),
+                    To, E->loc());
       return;
     }
     if (L->LK == LitExpr::LK_Int && To->isIntegral()) {

@@ -498,8 +498,7 @@ bool SpecState::specExprEx(const TerraExpr *E, SpecRes &R) {
     if (!specExprEx(O->Base, Base))
       return false;
     if (Base.IsHostValue &&
-        (Base.V.isTable() || Base.V.isType() || Base.V.isTerraFn() ||
-         Base.V.isSymbol())) {
+        (Base.V.isTable() || Base.V.isType() || Base.V.isTerraFn())) {
       // Implicit escape: nested lua table selection (std.malloc), type
       // reflection, etc. resolves at specialization time (paper §4.1).
       Value Out;

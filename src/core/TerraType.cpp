@@ -64,6 +64,27 @@ PrimType::PrimType(PrimKind PK, std::string Name, uint64_t Size)
   LayoutComputed = true;
 }
 
+int64_t PrimType::wrapInt(int64_t V) const {
+  switch (PK) {
+  case Bool:
+    return V != 0;
+  case Int8:
+    return static_cast<int8_t>(V);
+  case Int16:
+    return static_cast<int16_t>(V);
+  case Int32:
+    return static_cast<int32_t>(V);
+  case UInt8:
+    return static_cast<uint8_t>(V);
+  case UInt16:
+    return static_cast<uint16_t>(V);
+  case UInt32:
+    return static_cast<uint32_t>(V);
+  default:
+    return V;
+  }
+}
+
 unsigned PrimType::conversionRank() const {
   switch (PK) {
   case Void:

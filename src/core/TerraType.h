@@ -115,6 +115,11 @@ public:
   /// Rank used for usual-arithmetic-conversion style promotion.
   unsigned conversionRank() const;
 
+  /// \p V converted to this type and widened back to 64 bits, as a C cast
+  /// does: narrow signed kinds sign-extend, narrow unsigned kinds
+  /// zero-extend, bool is 0/1. Float and void kinds return \p V unchanged.
+  int64_t wrapInt(int64_t V) const;
+
   static bool classof(const Type *T) { return T->kind() == TK_Prim; }
 
 private:

@@ -364,6 +364,10 @@ next_insn:
   VM_NEXT;
   VM_CASE(ModI) : R[pc->A].I = R[pc->B].I % R[pc->C].I;
   VM_NEXT;
+  VM_CASE(DivIK) : R[pc->A].I = R[pc->B].I / pc->Imm;
+  VM_NEXT;
+  VM_CASE(ModIK) : R[pc->A].I = R[pc->B].I % pc->Imm;
+  VM_NEXT;
   VM_CASE(DivU) : R[pc->A].U = R[pc->B].U / R[pc->C].U;
   VM_NEXT;
   VM_CASE(ModU) : R[pc->A].U = R[pc->B].U % R[pc->C].U;

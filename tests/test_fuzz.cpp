@@ -4,9 +4,10 @@
 // native C backend, the tiered dispatcher, the baseline JIT and the tier-0
 // register-bytecode VM — computes the bit-identical result. This suite
 // generates random (seeded, reproducible) programs — double arithmetic,
-// comparisons, branches, bounded loops, assignments, and vector(double, 4)
-// lanes (broadcasts, lane ops, lane loads and stores at constant and
-// runtime indices, comparison masks) — runs them on all four engines, and
+// comparisons, branches, bounded loops, assignments, calls of a small
+// helper (which the bytecode tiers inline), and vector(double, 4) lanes
+// (broadcasts, lane ops, lane loads and stores at constant and runtime
+// indices, comparison masks) — runs them on all four engines, and
 // compares them against native code, or against the VM when there is no C
 // compiler. Doubles are used for arithmetic so no C undefined behavior
 // (signed overflow) can make "disagreement" ambiguous.
@@ -54,6 +55,15 @@ public:
 
   std::string generate() {
     std::ostringstream OS;
+    // A small helper the body calls: the bytecode compiler inlines it,
+    // except on the tiered backend, which keeps the call.
+    static const char *Cmp[] = {" < ", " <= ", " > ", " >= "};
+    OS << "terra h(p: double, q: double): double\n"
+       << "  if " << hexpr(1) << Cmp[R.range(4)] << hexpr(1) << " then\n"
+       << "    return " << hexpr(2) << " * 0.5\n"
+       << "  end\n"
+       << "  return " << hexpr(2) << " * 0.25\n"
+       << "end\n";
     OS << "terra f(x: double): double\n";
     OS << "  var a0: double = x\n"
        << "  var a1: double = x * 0.5\n"
@@ -73,6 +83,21 @@ public:
 
 private:
   std::string var() { return "a" + std::to_string(R.range(4)); }
+  /// The helper's expressions, over its parameters p and q.
+  std::string hexpr(int Depth) {
+    if (Depth <= 0 || R.range(3) == 0) {
+      switch (R.range(3)) {
+      case 0:
+        return "p";
+      case 1:
+        return "q";
+      default:
+        return "0.5";
+      }
+    }
+    static const char *Ops[] = {" + ", " - ", " * "};
+    return "(" + hexpr(Depth - 1) + Ops[R.range(3)] + hexpr(Depth - 1) + ")";
+  }
   std::string vvar() { return "v" + std::to_string(R.range(2)); }
   std::string lane() { return "[" + std::to_string(R.range(4)) + "]"; }
 
@@ -121,7 +146,7 @@ private:
 
   std::string stmt(int Depth, int Indent) {
     std::string Pad(Indent * 2, ' ');
-    switch (R.range(9)) {
+    switch (R.range(10)) {
     case 0:
     case 1:
       return Pad + var() + " = " + expr(Depth) + "\n";
@@ -168,6 +193,8 @@ private:
       S += Pad + "end\n";
       return S;
     }
+    case 8:
+      return Pad + var() + " = h(" + expr(Depth - 1) + ", " + var() + ")\n";
     default: {
       // Runtime lane indices keep that vector in the frame.
       std::string K = "k" + std::to_string(Counter++);
@@ -269,6 +296,12 @@ public:
 
   std::string generate() {
     std::ostringstream OS;
+    // A small helper the body calls (inlined on the bytecode tiers).
+    OS << "terra g(a: int64, b: int64): int64\n"
+       << "  if a < b then return (a * " << 1 + R.range(9)
+       << " + b) % 100003 end\n"
+       << "  return (b - a * " << 1 + R.range(9) << ") % 100003\n"
+       << "end\n";
     OS << "terra f(x: int64): int64\n";
     OS << "  var b0: int64 = x\n"
        << "  var b1: int64 = x * 3 + 7\n"
@@ -292,7 +325,7 @@ private:
   std::string stmt(int Indent) {
     std::string Pad(Indent * 2, ' ');
     std::string V = var(), A = var(), B = var();
-    switch (R.range(6)) {
+    switch (R.range(7)) {
     case 0:
       return Pad + V + " = (" + A + " + " + B + " * " +
              std::to_string(1 + R.range(9)) + ") % 100003\n";
@@ -323,6 +356,8 @@ private:
       return Pad + V + " = " + A + " >> (" + B + " % " + std::to_string(K) +
              " + " + std::to_string(K) + ")\n";
     }
+    case 6:
+      return Pad + V + " = g(" + A + ", " + B + ")\n";
     default: {
       // An unproven divisor (plain variable): the guard stays, and the
       // branch keeps the divisor nonzero at runtime on every engine.

@@ -215,6 +215,26 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(Corpus[Info.param].Name);
     });
 
+TEST(Libc, ExternAsFunctionValueOnEveryEngine) {
+  // An extern passed where Terra expects a function value: under tiered
+  // execution function values are machine addresses, and an extern's is
+  // its C function's.
+  const char *Src =
+      MATH "terra apply(fp: {double} -> double, x: double): double\n"
+           "  return fp(x)\n"
+           "end\n"
+           "terra f(x: double): double return apply(M.sqrt, x) end";
+  std::vector<Exec> Modes = {Exec::Tiered, Exec::Baseline, Exec::VM};
+  if (Engine::defaultBackend() != BackendKind::Interp)
+    Modes.push_back(Exec::Native);
+  for (Exec Mode : Modes) {
+    std::unique_ptr<Engine> E = makeEngine(Mode);
+    double Got = 0;
+    ASSERT_EQ(runF(*E, Src, 16, Got), "") << modeName(Mode);
+    EXPECT_EQ(Got, 4) << modeName(Mode);
+  }
+}
+
 /// The Terra signature of every includec entry, as recorded before the
 /// table derived them from C++ function types.
 TEST(Libc, IncludecSignaturesAreUnchanged) {

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ScopedEnv.h"
 #include "core/Engine.h"
 #include "core/TerraType.h"
 
@@ -96,6 +97,32 @@ TEST(Semantics, SymbolDeliberatelyViolatesHygiene) {
            "  return [use]\n"
            "end");
   EXPECT_EQ(callD(E, "f", {}), 20);
+}
+
+TEST(Semantics, SymbolFieldSelectIsTerraCode) {
+  // `[z].re` on a struct-typed symbol selects the field of the Terra
+  // variable (§6.1's generated code does this); the symbol is not a host
+  // table to index. Every engine gives the same answer.
+  const char *Src = "struct Cx { re: int; im: int }\n"
+                    "local z = symbol(Cx, 'z')\n"
+                    "local bump = quote [z].re = [z].re + [z].im end\n"
+                    "terra f(a: int): int\n"
+                    "  var [z] = Cx { a, 2 }\n"
+                    "  [bump]\n"
+                    "  return [z].re * 10 + [z].im\n"
+                    "end";
+  bool HaveCC = Engine::defaultBackend() != BackendKind::Interp;
+  for (const char *Interp : {"native", "tiered", "baseline", "vm"}) {
+    std::string Name = Interp;
+    if (Name == "native" && !HaveCC)
+      continue;
+    ScopedEnv Pin("TERRACPP_INTERP", Name == "vm" ? "vm" : "baseline");
+    Engine E(Name == "native"   ? BackendKind::Native
+             : Name == "tiered" ? BackendKind::Tiered
+                                : BackendKind::Interp);
+    runOK(E, Src);
+    EXPECT_EQ(callD(E, "f", {4}), 62) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
