@@ -1070,7 +1070,7 @@ int BCCompiler::inlineCall(const ApplyExpr *A, const TerraFunction *Callee,
   // parameter the body never assigns or addresses reads its argument's
   // register directly.
   std::vector<std::pair<const TerraSymbol *, LocalInfo>> Shadowed;
-  std::vector<const TerraSymbol *> Bound;
+  std::vector<const TerraSymbol *> Bound, Fresh;
   for (size_t I = 0; I != Pre.Decls.size(); ++I) {
     const TerraSymbol *S = Pre.Decls[I].first;
     if (std::find(Bound.begin(), Bound.end(), S) != Bound.end())
@@ -1078,6 +1078,8 @@ int BCCompiler::inlineCall(const ApplyExpr *A, const TerraFunction *Callee,
     auto It = Locals.find(S);
     if (It != Locals.end())
       Shadowed.push_back(*It);
+    else
+      Fresh.push_back(S);
     Bound.push_back(S);
     LocalInfo L;
     L.Ty = S->DeclaredType;
@@ -1123,10 +1125,13 @@ int BCCompiler::inlineCall(const ApplyExpr *A, const TerraFunction *Callee,
   Cur = Caller;
   Inline = Outer;
   CurLoc = CallerLoc;
-  for (const TerraSymbol *S : Bound)
+  // A shadowed binding is restored in place, not erased and re-inserted:
+  // a caller statement that holds a reference to it (a `for` over the same
+  // symbol) reads it again after its body.
+  for (const TerraSymbol *S : Fresh)
     Locals.erase(S);
   for (auto &[S, L] : Shadowed)
-    Locals[S] = L;
+    Locals.find(S)->second = L;
   if (!OK)
     return -1;
 

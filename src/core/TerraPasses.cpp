@@ -156,34 +156,6 @@ void Folder::foldExpr(TerraExpr *&E) {
     if (!Ty || Ty->isVector())
       return;
     if (isIntLit(B->LHS, LI) && isIntLit(B->RHS, RI)) {
-      // Unsigned operands divide and compare as uint64 (literals are
-      // canonical, so narrow unsigned kinds are already zero-extended).
-      const auto *OP = dyn_cast_or_null<PrimType>(B->LHS->Ty);
-      if (OP && OP->isIntegralPrim() && !OP->isSignedPrim()) {
-        uint64_t UL = uint64_t(LI), UR = uint64_t(RI);
-        switch (B->Op) {
-        case BinOpKind::Div:
-        case BinOpKind::Mod:
-          if (UR != 0)
-            E = makeInt(int64_t(B->Op == BinOpKind::Div ? UL / UR : UL % UR),
-                        Ty, E->loc());
-          return;
-        case BinOpKind::Lt:
-          E = makeBool(UL < UR, Ty, E->loc());
-          return;
-        case BinOpKind::Le:
-          E = makeBool(UL <= UR, Ty, E->loc());
-          return;
-        case BinOpKind::Gt:
-          E = makeBool(UL > UR, Ty, E->loc());
-          return;
-        case BinOpKind::Ge:
-          E = makeBool(UL >= UR, Ty, E->loc());
-          return;
-        default:
-          break;
-        }
-      }
       switch (B->Op) {
       // Wrapping arithmetic, as the engines compute it.
       case BinOpKind::Add:
@@ -278,11 +250,7 @@ void Folder::foldExpr(TerraExpr *&E) {
     if (!L || !To || To->isVector() || To->isPointer())
       return;
     if (L->LK == LitExpr::LK_Int && To->isFloat()) {
-      const auto *FP = dyn_cast_or_null<PrimType>(L->Ty);
-      bool U = FP && FP->isIntegralPrim() && !FP->isSignedPrim();
-      E = makeFloat(U ? static_cast<double>(uint64_t(L->IntVal))
-                      : static_cast<double>(L->IntVal),
-                    To, E->loc());
+      E = makeFloat(static_cast<double>(L->IntVal), To, E->loc());
       return;
     }
     if (L->LK == LitExpr::LK_Int && To->isIntegral()) {

@@ -200,13 +200,8 @@ TEST(ConstDiv, ZeroAndMinusOneKeepTheirPaths) {
 TEST(ConstDiv, FoldedLiteralsKeepTheirTypeAndDigits) {
   // The midend folds divisions of literals before the bytecode compiler
   // classifies divisors: a folded cast wraps to its type ([int8](300) is
-  // 44), unsigned operands fold as uint64, and an LL literal keeps the
-  // digits a double would round away.
+  // 44), and an LL literal keeps the digits a double would round away.
   const char *Src =
-      "terra a(): int return [uint64](-1) / 2 % 1000 end\n"
-      "terra b(): int return [int]([uint64](-1) > 0) end\n"
-      "terra c(): int return [uint64](-1) % 10 end\n"
-      "terra d(): int return [int]([double]([uint64](-1)) > 0) end\n"
       "terra e(): int return 4611686018427387903LL % 1000 end\n"
       "terra g(): int8 return [int8](300) / [int8](3) end\n"
       "terra h(): int64 return [int64]([int8](300)) end\n"
@@ -220,8 +215,7 @@ TEST(ConstDiv, FoldedLiteralsKeepTheirTypeAndDigits) {
     Engine E(C.Backend);
     ASSERT_TRUE(E.run(Src, "fold")) << E.errors();
     const std::pair<const char *, double> Want[] = {
-        {"a", 807}, {"b", 1}, {"c", 5}, {"d", 1},
-        {"e", 903}, {"g", 14},  {"h", 44}};
+        {"e", 903}, {"g", 14}, {"h", 44}};
     for (const auto &[Fn, V] : Want) {
       std::vector<Value> R;
       ASSERT_TRUE(E.call(E.global(Fn), {}, R)) << E.errors();
@@ -296,6 +290,22 @@ const Case Cases[] = {
      "terra put(p: &int, v: int) @p = v end\n"
      "terra f(n: int): int var x = 0 put(&x, n * 3) return x end",
      7, 21},
+    // The caller's loop and the inlined callee's loop share one symbol:
+    // the callee's binding shadows the caller's, which the caller's loop
+    // reads again after its body.
+    {"shared_symbol_loop",
+     "local i = symbol(int)\n"
+     "terra g(n: int): int\n"
+     "  var s = 0\n"
+     "  for [i] = 0, n do s = s + [i] end\n"
+     "  return s\n"
+     "end\n"
+     "terra f(n: int): int\n"
+     "  var t = 0\n"
+     "  for [i] = 0, n do t = t + g([i]) end\n"
+     "  return t\n"
+     "end",
+     6, 20},
 };
 
 /// Whether `f` (compiled to bytecode on \p E) still holds a Call.
